@@ -476,11 +476,13 @@ if [[ "$OOM" -eq 1 ]]; then
          "set CTP_VERIFY)" >&2
     exit 1
   fi
-  # bloat/2-object+H peaks around ~27 MB RSS here, so a KB-granular
-  # RLIMIT_AS ladder can bracket it; presets that converge in a few MB
-  # would need limits below the runtime's own floor.
+  # bloat/1-call+H under context strings peaks around ~36 MB RSS here,
+  # so a KB-granular RLIMIT_AS ladder can bracket it; presets that
+  # converge in a few MB would need limits below the runtime's own floor
+  # (bloat/2-object+H now peaks at ~10 MB, too close to it).
   OPRESET=bloat
-  OCONFIG=2-object+H
+  OCONFIG=1-call+H
+  OABS=cs
 
   die() {
     echo "FAIL: $1" >&2
@@ -493,10 +495,10 @@ if [[ "$OOM" -eq 1 ]]; then
   # The exact lethal limit shifts with allocator and libc versions, so
   # probe a descending ladder instead of hard-coding one value.
   LIMIT_KB=""
-  for CAND in 36000 33000 30000 27000 24000; do
+  for CAND in 48000 42000 36000 33000 30000 27000 24000; do
     set +e
     ( ulimit -v "$CAND" && exec "$ANALYZE" --preset "$OPRESET" \
-        --config "$OCONFIG" ) \
+        --config "$OCONFIG" --abstraction "$OABS" ) \
       > "$WORK/ungov.txt" 2> "$WORK/ungov.err"
     CODE=$?
     set -e
@@ -521,8 +523,8 @@ if [[ "$OOM" -eq 1 ]]; then
   mkdir -p "$GOV_OUT"
   set +e
   ( ulimit -v "$LIMIT_KB" && exec "$ANALYZE" --preset "$OPRESET" \
-      --config "$OCONFIG" --mem-budget-mb "$BUDGET_MB" --fallback \
-      --out "$GOV_OUT" ) \
+      --config "$OCONFIG" --abstraction "$OABS" \
+      --mem-budget-mb "$BUDGET_MB" --fallback --out "$GOV_OUT" ) \
     > "$WORK/gov.txt" 2> "$WORK/gov.err"
   CODE=$?
   set -e
@@ -532,7 +534,7 @@ if [[ "$OOM" -eq 1 ]]; then
   grep -q "MemoryBudget" "$WORK/gov.txt" \
     || die "no rung reported a MemoryBudget trip" "$WORK/gov.txt"
   RUNG_CFG="$(awk '/<- answered/ { print $3 }' "$WORK/gov.txt")"
-  RUNG_CFG="${RUNG_CFG%%(*}" # "2-type+H(ts)" -> the --config spelling.
+  RUNG_CFG="${RUNG_CFG%%(*}" # "2-type+H(cs)" -> the --config spelling.
   [[ -n "$RUNG_CFG" ]] \
     || die "could not parse the answered rung" "$WORK/gov.txt"
   echo "   exit 3 with --mem-budget-mb $BUDGET_MB," \
@@ -541,7 +543,8 @@ if [[ "$OOM" -eq 1 ]]; then
   echo "== oom 3: results must match an unconstrained cold solve =="
   COLD_OUT="$WORK/cold_out"
   mkdir -p "$COLD_OUT"
-  "$ANALYZE" --preset "$OPRESET" --config "$RUNG_CFG" --out "$COLD_OUT" \
+  "$ANALYZE" --preset "$OPRESET" --config "$RUNG_CFG" --abstraction "$OABS" \
+    --out "$COLD_OUT" \
     > "$WORK/cold.txt" \
     || die "cold solve at $RUNG_CFG failed" "$WORK/cold.txt"
   diff -r "$GOV_OUT" "$COLD_OUT" > "$WORK/oomdiff.txt" \
@@ -551,7 +554,7 @@ if [[ "$OOM" -eq 1 ]]; then
 
   echo "== oom 4: ctp-verify must certify the landed configuration =="
   "$VERIFY_BIN" --preset "$OPRESET" --config "$RUNG_CFG" \
-    --backend native --snapshot-dir "$WORK/oom_snap" \
+    --abstraction "$OABS" --backend native --snapshot-dir "$WORK/oom_snap" \
     > "$WORK/oomverify.txt" 2>&1 \
     || die "ctp-verify rejected $RUNG_CFG" "$WORK/oomverify.txt"
 

@@ -45,6 +45,10 @@ struct Stats {
   std::size_t total() const { return NumPts + NumHpts + NumCall; }
   /// Number of distinct interned context transformations.
   std::size_t DomainSize = 0;
+  /// comp calls made by the native solver's rules, and how many were ⊥.
+  /// The join indexes keep the ⊥ share low (0 under context strings).
+  std::uint64_t CompAttempts = 0;
+  std::uint64_t CompBottoms = 0;
   /// Facts dropped or retired by subsumption collapsing (0 unless the
   /// CollapseSubsumedPts option is on).
   std::size_t CollapsedPts = 0;

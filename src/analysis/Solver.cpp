@@ -8,6 +8,7 @@
 #include "analysis/Solver.h"
 
 #include "analysis/Incremental.h"
+#include "analysis/JoinIndex.h"
 #include "analysis/Provenance.h"
 #include "analysis/Unify.h"
 #include "ctx/CutShortcut.h"
@@ -106,9 +107,6 @@ public:
       CutPlan = ctx::buildCutShortcutPlan(DB);
     }
     buildInputIndices();
-    PtsByVar.resize(DB.numVars());
-    CallByInvoke.resize(DB.numInvokes());
-    CallByCallee.resize(DB.numMethods());
     ReachByMethod.resize(DB.numMethods());
     GptsByGlobal.resize(DB.numGlobals());
     if (Ckpt.enabled() || Opts.Resume) {
@@ -157,7 +155,7 @@ public:
       if (Collapse && !collapseInsert(F.Var, F.Heap, F.T))
         return "snapshot pts relation disagrees with its collapse state";
       PtsRel.push_back(F);
-      PtsByVar[F.Var].push_back({F.Heap, F.T});
+      indexPts(F);
       if (I / 3 >= S.Pts.Head)
         PtsWork.push_back(F);
     }
@@ -180,7 +178,7 @@ public:
       if (!HptsSet.insert(keyOf(F)).second)
         return "snapshot hpts relation has duplicate tuples";
       HptsRel.push_back(F);
-      HptsByBaseField[pairKey(F.Base, F.Field)].push_back({F.Heap, F.T});
+      indexHpts(F);
       if (I / 4 >= S.Hpts.Head)
         HptsWork.push_back(F);
     }
@@ -193,7 +191,7 @@ public:
       if (!HloadSet.insert(keyOf(F)).second)
         return "snapshot hload relation has duplicate tuples";
       HloadRel.push_back(F);
-      HloadByBaseField[pairKey(F.Base, F.Field)].push_back({F.Var, F.T});
+      indexHload(F);
       if (I / 4 >= S.Hload.Head)
         HloadWork.push_back(F);
     }
@@ -206,8 +204,7 @@ public:
       if (!CallSet.insert(keyOf(F)).second)
         return "snapshot call relation has duplicate tuples";
       CallRel.push_back(F);
-      CallByInvoke[F.Invoke].push_back({F.Method, F.T});
-      CallByCallee[F.Method].push_back({F.Invoke, F.T});
+      indexCall(F);
       if (I / 3 >= S.Call.Head)
         CallWork.push_back(F);
     }
@@ -360,7 +357,7 @@ public:
         continue;
       PtsSet.insert(keyOf(F));
       PtsRel.push_back(F);
-      PtsByVar[F.Var].push_back({F.Heap, F.T});
+      indexPts(F);
     }
     for (const HptsFact &F : Prev.Hpts) {
       std::uint32_t Node = G.lookup(ProvRel::Hpts, keyOf(F));
@@ -370,7 +367,7 @@ public:
         continue;
       HptsSet.insert(keyOf(F));
       HptsRel.push_back(F);
-      HptsByBaseField[pairKey(F.Base, F.Field)].push_back({F.Heap, F.T});
+      indexHpts(F);
     }
     for (const HloadFact &F : Prev.Hload) {
       std::uint32_t Node = G.lookup(ProvRel::Hload, keyOf(F));
@@ -380,7 +377,7 @@ public:
         continue;
       HloadSet.insert(keyOf(F));
       HloadRel.push_back(F);
-      HloadByBaseField[pairKey(F.Base, F.Field)].push_back({F.Var, F.T});
+      indexHload(F);
     }
     for (const CallFact &F : Prev.Call) {
       std::uint32_t Node = G.lookup(ProvRel::Call, keyOf(F));
@@ -390,8 +387,7 @@ public:
         continue;
       CallSet.insert(keyOf(F));
       CallRel.push_back(F);
-      CallByInvoke[F.Invoke].push_back({F.Method, F.T});
-      CallByCallee[F.Method].push_back({F.Invoke, F.T});
+      indexCall(F);
     }
     for (const ReachFact &F : Prev.Reach) {
       std::uint32_t Node = G.lookup(ProvRel::Reach, keyOf(F));
@@ -459,8 +455,9 @@ public:
       // need nothing here: run()'s ENTRY loop seeds them and dedups the
       // surviving ones.)
       auto SeedPtsOf = [this](std::uint32_t Var) {
-        for (const auto &[Heap, T] : PtsByVar[Var])
-          PtsWork.push_back({Var, Heap, T});
+        PtsByVar.visitAll(Var, [&](JoinIndex::Entry E) {
+          PtsWork.push_back({Var, E.first, E.second});
+        });
       };
       for (const auto &F : D.AddAssigns)
         SeedPtsOf(F.From);
@@ -480,15 +477,22 @@ public:
         SeedPtsOf(F.Receiver);
       for (const auto &F : D.AddGlobalStores)
         SeedPtsOf(F.From);
+      auto SeedCallsTo = [this](std::uint32_t Method) {
+        CallByCallee.visitAll(Method, [&](JoinIndex::Entry E) {
+          CallWork.push_back({E.first, Method, E.second});
+        });
+      };
+      auto SeedCallsAt = [this](std::uint32_t Invoke) {
+        CallByInvoke.visitAll(Invoke, [&](JoinIndex::Entry E) {
+          CallWork.push_back({Invoke, E.first, E.second});
+        });
+      };
       for (const auto &F : D.AddFormals)
-        for (const auto &[Invoke, T] : CallByCallee[F.Method])
-          CallWork.push_back({Invoke, F.Method, T});
+        SeedCallsTo(F.Method);
       for (const auto &F : D.AddAssignReturns)
-        for (const auto &[Method, T] : CallByInvoke[F.Invoke])
-          CallWork.push_back({F.Invoke, Method, T});
+        SeedCallsAt(F.Invoke);
       for (const auto &F : D.AddCatches)
-        for (const auto &[Method, T] : CallByInvoke[F.Invoke])
-          CallWork.push_back({F.Invoke, Method, T});
+        SeedCallsAt(F.Invoke);
       for (const auto &F : D.AddStaticInvokes)
         for (std::uint32_t CtxId : ReachByMethod[F.InMethod])
           ReachWork.push_back({F.InMethod, CtxId});
@@ -556,6 +560,8 @@ public:
     R.Stat.NumCall = CallRel.size();
     R.Stat.NumReach = ReachRel.size();
     R.Stat.DomainSize = Dom->size();
+    R.Stat.CompAttempts = CompAttempts;
+    R.Stat.CompBottoms = CompBottoms;
     R.Stat.WorkItems = BaseWorkItems + WorkItems;
     R.Stat.Seconds = Timer.seconds();
     R.Stat.Term = Meter.reason();
@@ -685,7 +691,7 @@ private:
     }
     Meter.chargeTuple();
     PtsRel.push_back(F);
-    PtsByVar[Var].push_back({Heap, T});
+    indexPts(F);
     PtsWork.push_back(F);
     return true;
   }
@@ -709,13 +715,7 @@ private:
     for (std::size_t I = 0; I < Live.size(); ++I) {
       if (ctx::subsumes(NewT, Dom->transformer(Live[I]))) {
         ++CollapsedPts;
-        auto &Index = PtsByVar[Var];
-        for (std::size_t J = 0; J < Index.size(); ++J)
-          if (Index[J].first == Heap && Index[J].second == Live[I]) {
-            Index[J] = Index.back();
-            Index.pop_back();
-            break;
-          }
+        PtsByVar.erase(Var, Dom->outKey(Live[I]), {Heap, Live[I]});
         continue;
       }
       Live[Kept++] = Live[I];
@@ -733,7 +733,7 @@ private:
       return false;
     Meter.chargeTuple();
     HptsRel.push_back(F);
-    HptsByBaseField[pairKey(Base, Field)].push_back({Heap, T});
+    indexHpts(F);
     HptsWork.push_back(F);
     return true;
   }
@@ -746,7 +746,7 @@ private:
       return false;
     Meter.chargeTuple();
     HloadRel.push_back(F);
-    HloadByBaseField[pairKey(Base, Field)].push_back({Var, T});
+    indexHload(F);
     HloadWork.push_back(F);
     return true;
   }
@@ -758,10 +758,38 @@ private:
       return false;
     Meter.chargeTuple();
     CallRel.push_back(F);
-    CallByInvoke[Invoke].push_back({Method, T});
-    CallByCallee[Method].push_back({Invoke, T});
+    indexCall(F);
     CallWork.push_back(F);
     return true;
+  }
+
+  // Join-index keys: partners that sit on the left of comp are listed by
+  // outKey, those on the right by inKey. The inverted partners of STORE,
+  // RET and THROW sit on the right, and inKey(inv(X)) == outKey(X).
+  void indexPts(const PtsFact &F) {
+    PtsByVar.insert(F.Var, Dom->outKey(F.T), {F.Heap, F.T});
+  }
+  void indexHpts(const HptsFact &F) {
+    HptsByBaseField.insert(BaseFields.intern(pairKey(F.Base, F.Field)),
+                           Dom->outKey(F.T), {F.Heap, F.T});
+  }
+  void indexHload(const HloadFact &F) {
+    HloadByBaseField.insert(BaseFields.intern(pairKey(F.Base, F.Field)),
+                            Dom->inKey(F.T), {F.Var, F.T});
+  }
+  void indexCall(const CallFact &F) {
+    CallByInvoke.insert(F.Invoke, Dom->inKey(F.T), {F.Method, F.T});
+    CallByCallee.insert(F.Method, Dom->outKey(F.T), {F.Invoke, F.T});
+  }
+
+  /// Dom->comp, counted into CompAttempts/CompBottoms.
+  std::optional<TransformId> comp(TransformId A, TransformId B,
+                                  unsigned MaxExits, unsigned MaxEntries) {
+    ++CompAttempts;
+    std::optional<TransformId> R = Dom->comp(A, B, MaxExits, MaxEntries);
+    if (!R)
+      ++CompBottoms;
+    return R;
   }
 
   bool addGpts(std::uint32_t Global, std::uint32_t Heap, TransformId T) {
@@ -961,41 +989,54 @@ private:
         Prov->note(ProvRel::Hload, keyOf(HloadFact{F.Heap, Field, To, F.T}),
                    ProvRule::Load, FN, NoNode, F.Var);
 
+    // Every join below probes with outKey(F.T): this fact is comp's left
+    // operand, or (STORE's base side) its inverted right operand, and
+    // inKey(inv(X)) == outKey(X). Partners on the right are listed by
+    // inKey, inverted ones by outKey.
+    const std::uint32_t OutK = Dom->outKey(F.T);
+
     // [STORE] pts(X,H,B), store(X,Fl,Z), pts(Z,G,C)
     //         |- hpts(G,Fl,H, B ; inv(C)).
     // Provenance premise order is always (value pts, base pts).
     // Driven from the stored-value side (this fact is pts(X,H,B))...
     for (const auto &[Field, Base] : StoreByValue[F.Var])
-      for (const auto &[G, C] : PtsByVar[Base])
-        if (auto A = Dom->comp(F.T, Dom->inv(C), H, H))
+      PtsByVar.visit(Base, OutK, [&](JoinIndex::Entry P) {
+        auto [G, C] = P;
+        if (auto A = comp(F.T, Dom->inv(C), H, H))
           if (addHpts(G, Field, F.Heap, *A) && Prov)
             Prov->note(ProvRel::Hpts, keyOf(HptsFact{G, Field, F.Heap, *A}),
                        ProvRule::Store, FN,
                        Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Base, G, C})),
                        F.Var);
-    // ...and from the base side (this fact is pts(Z,G,C)).
+      });
+    // ...and from the base side (this fact is pts(Z,G,C)): B ; inv(C)
+    // needs outKey(B) compatible with inKey(inv(C)) == outKey(C).
     for (const auto &[Field, Value] : StoreByBase[F.Var])
-      for (const auto &[Hp, B] : PtsByVar[Value])
-        if (auto A = Dom->comp(B, Dom->inv(F.T), H, H))
+      PtsByVar.visit(Value, OutK, [&](JoinIndex::Entry P) {
+        auto [Hp, B] = P;
+        if (auto A = comp(B, Dom->inv(F.T), H, H))
           if (addHpts(F.Heap, Field, Hp, *A) && Prov)
             Prov->note(ProvRel::Hpts, keyOf(HptsFact{F.Heap, Field, Hp, *A}),
                        ProvRule::Store,
                        Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Value, Hp, B})),
                        FN, Value);
+      });
 
     // [PARAM] pts(Z,H,B), actual(Z,I,O), call(I,P,C), formal(Y,P,O)
     //         |- pts(Y,H, B ; C). Premise order: (actual pts, call).
     for (const auto &[Invoke, Ord] : ActualByVar[F.Var])
-      for (const auto &[Callee, C] : CallByInvoke[Invoke])
+      CallByInvoke.visit(Invoke, OutK, [&](JoinIndex::Entry P) {
+        auto [Callee, C] = P;
         if (auto It = FormalOf.find(pairKey(Callee, Ord));
             It != FormalOf.end())
-          if (auto A = Dom->comp(F.T, C, H, M))
+          if (auto A = comp(F.T, C, H, M))
             if (addPts(It->second, F.Heap, *A) && Prov)
               Prov->note(
                   ProvRel::Pts, keyOf(PtsFact{It->second, F.Heap, *A}),
                   ProvRule::Param, FN,
                   Prov->lookup(ProvRel::Call, keyOf(CallFact{Invoke, Callee, C})),
                   Invoke);
+      });
 
     // [SHORTCUT] (cutshortcut mode) pts(Z,H,B), actual(Z,I,O),
     //            call(I,P,C), shortcut(P,O), assign_return(I,Y)
@@ -1004,10 +1045,11 @@ private:
     //            flow per call site. Premise order: (actual pts, call).
     if (CutMode)
       for (const auto &[Invoke, Ord] : ActualByVar[F.Var])
-        for (const auto &[Callee, C] : CallByInvoke[Invoke])
+        CallByInvoke.visit(Invoke, OutK, [&](JoinIndex::Entry P) {
+          auto [Callee, C] = P;
           if (CutPlan.hasShortcut(Callee, Ord))
-            if (auto In = Dom->comp(F.T, C, H, M))
-              if (auto A = Dom->comp(*In, Dom->inv(C), H, M))
+            if (auto In = comp(F.T, C, H, M))
+              if (auto A = comp(*In, Dom->inv(C), H, M))
                 for (std::uint32_t Y : AssignRetByInvoke[Invoke])
                   if (addPts(Y, F.Heap, *A) && Prov)
                     Prov->note(ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, *A}),
@@ -1015,6 +1057,7 @@ private:
                                Prov->lookup(ProvRel::Call,
                                             keyOf(CallFact{Invoke, Callee, C})),
                                Invoke);
+        });
 
     // [RET] pts(Z,H,B), return(Z,P), call(I,P,C), assign_return(I,Y)
     //       |- pts(Y,H, B ; inv(C)). Premise order: (return pts, call).
@@ -1023,9 +1066,9 @@ private:
     for (std::uint32_t P : ReturnByVar[F.Var]) {
       if (CutMode && CutPlan.isCutReturn(P, F.Var))
         continue;
-      for (const auto &[Invoke, C] : CallByCallee[P]) {
-        TransformId InvC = Dom->inv(C);
-        if (auto A = Dom->comp(F.T, InvC, H, M))
+      CallByCallee.visit(P, OutK, [&](JoinIndex::Entry E) {
+        auto [Invoke, C] = E;
+        if (auto A = comp(F.T, Dom->inv(C), H, M))
           for (std::uint32_t Y : AssignRetByInvoke[Invoke])
             if (addPts(Y, F.Heap, *A) && Prov)
               Prov->note(
@@ -1033,15 +1076,15 @@ private:
                   FN,
                   Prov->lookup(ProvRel::Call, keyOf(CallFact{Invoke, P, C})),
                   Invoke);
-      }
+      });
     }
 
     // [THROW] pts(Z,H,B), throw(Z,P), call(I,P,C), catch(I,Y)
     //         |- pts(Y,H, B ; inv(C)) — the exceptional return path.
     for (std::uint32_t P : ThrowByVar[F.Var])
-      for (const auto &[Invoke, C] : CallByCallee[P]) {
-        TransformId InvC = Dom->inv(C);
-        if (auto A = Dom->comp(F.T, InvC, H, M))
+      CallByCallee.visit(P, OutK, [&](JoinIndex::Entry E) {
+        auto [Invoke, C] = E;
+        if (auto A = comp(F.T, Dom->inv(C), H, M))
           for (std::uint32_t Y : CatchByInvoke[Invoke])
             if (addPts(Y, F.Heap, *A) && Prov)
               Prov->note(
@@ -1049,7 +1092,7 @@ private:
                   FN,
                   Prov->lookup(ProvRel::Call, keyOf(CallFact{Invoke, P, C})),
                   Invoke);
-      }
+      });
 
     // [GSTORE] pts(X,H,B), global_store(X,G) |- gpts(G,H, globalize(B)).
     if (!GlobalStoreByValue[F.Var].empty()) {
@@ -1077,7 +1120,7 @@ private:
         std::uint32_t ThisY = ThisOf[Q];
         assert(ThisY != facts::InvalidId &&
                "dispatched method has no this variable");
-        if (auto A = Dom->comp(F.T, C, H, M))
+        if (auto A = comp(F.T, C, H, M))
           if (addPts(ThisY, F.Heap, *A) && Prov)
             Prov->note(
                 ProvRel::Pts, keyOf(PtsFact{ThisY, F.Heap, *A}),
@@ -1091,36 +1134,38 @@ private:
   void onNewHpts(const HptsFact &F) {
     // [IND] hpts(G,Fl,H,B), hload(G,Fl,Y,C) |- pts(Y,H, B ; C).
     // Provenance premise order is always (hpts, hload).
-    auto It = HloadByBaseField.find(pairKey(F.Base, F.Field));
-    if (It == HloadByBaseField.end())
-      return;
     const std::uint32_t FN =
         Prov ? Prov->lookup(ProvRel::Hpts, keyOf(F)) : NoNode;
-    for (const auto &[Y, C] : It->second)
-      if (auto A = Dom->comp(F.T, C, H, M))
-        if (addPts(Y, F.Heap, *A) && Prov)
-          Prov->note(
-              ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, *A}), ProvRule::Ind, FN,
-              Prov->lookup(ProvRel::Hload,
-                           keyOf(HloadFact{F.Base, F.Field, Y, C})),
-              UINT32_MAX);
+    HloadByBaseField.visit(
+        BaseFields.lookup(pairKey(F.Base, F.Field)), Dom->outKey(F.T),
+        [&](JoinIndex::Entry E) {
+          auto [Y, C] = E;
+          if (auto A = comp(F.T, C, H, M))
+            if (addPts(Y, F.Heap, *A) && Prov)
+              Prov->note(ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, *A}),
+                         ProvRule::Ind, FN,
+                         Prov->lookup(ProvRel::Hload,
+                                      keyOf(HloadFact{F.Base, F.Field, Y, C})),
+                         UINT32_MAX);
+        });
   }
 
   void onNewHload(const HloadFact &F) {
     // [IND], driven from the load side.
-    auto It = HptsByBaseField.find(pairKey(F.Base, F.Field));
-    if (It == HptsByBaseField.end())
-      return;
     const std::uint32_t FN =
         Prov ? Prov->lookup(ProvRel::Hload, keyOf(F)) : NoNode;
-    for (const auto &[Hp, B] : It->second)
-      if (auto A = Dom->comp(B, F.T, H, M))
-        if (addPts(F.Var, Hp, *A) && Prov)
-          Prov->note(ProvRel::Pts, keyOf(PtsFact{F.Var, Hp, *A}),
-                     ProvRule::Ind,
-                     Prov->lookup(ProvRel::Hpts,
-                                  keyOf(HptsFact{F.Base, F.Field, Hp, B})),
-                     FN, UINT32_MAX);
+    HptsByBaseField.visit(
+        BaseFields.lookup(pairKey(F.Base, F.Field)), Dom->inKey(F.T),
+        [&](JoinIndex::Entry E) {
+          auto [Hp, B] = E;
+          if (auto A = comp(B, F.T, H, M))
+            if (addPts(F.Var, Hp, *A) && Prov)
+              Prov->note(ProvRel::Pts, keyOf(PtsFact{F.Var, Hp, *A}),
+                         ProvRule::Ind,
+                         Prov->lookup(ProvRel::Hpts,
+                                      keyOf(HptsFact{F.Base, F.Field, Hp, B})),
+                         FN, UINT32_MAX);
+        });
   }
 
   void onNewCall(const CallFact &F) {
@@ -1134,30 +1179,36 @@ private:
                  keyOf(ReachFact{F.Method, ReachCtxts->intern(Tgt)}),
                  ProvRule::Reach, FN, NoNode, F.Invoke);
 
+    // Join probes: B ; C (PARAM, SHORTCUT) needs outKey(B) compatible with
+    // inKey(C); B ; inv(C) (RET, THROW) with inKey(inv(C)) == outKey(C).
+    // The actual Z and the assign-return or catch target Y live in the
+    // same caller method and may be one variable, so the addPts below can
+    // grow the pts list being visited; JoinIndex::visit allows that.
+    const std::uint32_t InK = Dom->inKey(F.T), OutK = Dom->outKey(F.T);
+
     // [PARAM], driven from the call side. Premise order: (actual pts, call).
     for (const auto &[Ord, Z] : ActualByInvoke[F.Invoke])
       if (auto It = FormalOf.find(pairKey(F.Method, Ord));
           It != FormalOf.end())
-        for (const auto &[Hp, B] : PtsByVar[Z])
-          if (auto A = Dom->comp(B, F.T, H, M))
+        PtsByVar.visit(Z, InK, [&](JoinIndex::Entry E) {
+          auto [Hp, B] = E;
+          if (auto A = comp(B, F.T, H, M))
             if (addPts(It->second, Hp, *A) && Prov)
               Prov->note(ProvRel::Pts, keyOf(PtsFact{It->second, Hp, *A}),
                          ProvRule::Param,
                          Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Z, Hp, B})),
                          FN, F.Invoke);
+        });
 
     // [SHORTCUT], driven from the call side (cutshortcut mode).
     if (CutMode && !AssignRetByInvoke[F.Invoke].empty()) {
       TransformId InvC = Dom->inv(F.T);
       for (const auto &[Ord, Z] : ActualByInvoke[F.Invoke])
         if (CutPlan.hasShortcut(F.Method, Ord))
-          // Index-based: the actual Z and the assign-return target Y live
-          // in the same (caller) method and may alias, so addPts below can
-          // grow PtsByVar[Z] mid-loop.
-          for (std::size_t PI = 0; PI < PtsByVar[Z].size(); ++PI) {
-            const auto [Hp, B] = PtsByVar[Z][PI];
-            if (auto In = Dom->comp(B, F.T, H, M))
-              if (auto A = Dom->comp(*In, InvC, H, M))
+          PtsByVar.visit(Z, InK, [&](JoinIndex::Entry E) {
+            auto [Hp, B] = E;
+            if (auto In = comp(B, F.T, H, M))
+              if (auto A = comp(*In, InvC, H, M))
                 for (std::uint32_t Y : AssignRetByInvoke[F.Invoke])
                   if (addPts(Y, Hp, *A) && Prov)
                     Prov->note(
@@ -1165,7 +1216,7 @@ private:
                         ProvRule::Shortcut,
                         Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Z, Hp, B})),
                         FN, F.Invoke);
-          }
+          });
     }
 
     // [RET], driven from the call side (cut pairs skipped as above).
@@ -1174,14 +1225,16 @@ private:
       for (std::uint32_t Z : ReturnByMethod[F.Method]) {
         if (CutMode && CutPlan.isCutReturn(F.Method, Z))
           continue;
-        for (const auto &[Hp, B] : PtsByVar[Z])
-          if (auto A = Dom->comp(B, InvC, H, M))
+        PtsByVar.visit(Z, OutK, [&](JoinIndex::Entry E) {
+          auto [Hp, B] = E;
+          if (auto A = comp(B, InvC, H, M))
             for (std::uint32_t Y : AssignRetByInvoke[F.Invoke])
               if (addPts(Y, Hp, *A) && Prov)
                 Prov->note(
                     ProvRel::Pts, keyOf(PtsFact{Y, Hp, *A}), ProvRule::Ret,
                     Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Z, Hp, B})), FN,
                     F.Invoke);
+        });
       }
     }
 
@@ -1189,14 +1242,16 @@ private:
     if (!CatchByInvoke[F.Invoke].empty()) {
       TransformId InvC = Dom->inv(F.T);
       for (std::uint32_t Z : ThrowByMethod[F.Method])
-        for (const auto &[Hp, B] : PtsByVar[Z])
-          if (auto A = Dom->comp(B, InvC, H, M))
+        PtsByVar.visit(Z, OutK, [&](JoinIndex::Entry E) {
+          auto [Hp, B] = E;
+          if (auto A = comp(B, InvC, H, M))
             for (std::uint32_t Y : CatchByInvoke[F.Invoke])
               if (addPts(Y, Hp, *A) && Prov)
                 Prov->note(
                     ProvRel::Pts, keyOf(PtsFact{Y, Hp, *A}), ProvRule::Throw,
                     Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Z, Hp, B})), FN,
                     F.Invoke);
+        });
     }
   }
 
@@ -1357,8 +1412,7 @@ private:
       CastByFrom;
   std::unordered_set<std::uint64_t> SubtypePairs;
 
-  // Derived relations, dedup sets, and join indices. PtsByVar etc. are
-  // lazily sized in the constructor body via resize below.
+  // Derived relations, dedup sets, and join indices.
   std::unordered_set<FactKey, FactKeyHash> PtsSet, HptsSet, HloadSet,
       CallSet, ReachSet, GptsSet;
   std::vector<PtsFact> PtsRel;
@@ -1369,12 +1423,11 @@ private:
   std::vector<GptsFact> GptsRel;
   std::vector<std::vector<std::pair<std::uint32_t, TransformId>>>
       GptsByGlobal;
-  std::vector<std::vector<std::pair<std::uint32_t, TransformId>>> PtsByVar;
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::pair<std::uint32_t, TransformId>>>
-      HptsByBaseField, HloadByBaseField;
-  std::vector<std::vector<std::pair<std::uint32_t, TransformId>>>
-      CallByInvoke, CallByCallee;
+  JoinIndex PtsByVar, HptsByBaseField, HloadByBaseField, CallByInvoke,
+      CallByCallee;
+  /// Dense owner ids of the (base heap, field) pairs of hpts/hload.
+  Interner<std::uint64_t> BaseFields;
+  std::uint64_t CompAttempts = 0, CompBottoms = 0;
   std::vector<std::vector<std::uint32_t>> ReachByMethod;
 
   std::deque<PtsFact> PtsWork;

@@ -75,6 +75,23 @@ std::uint64_t binKey(std::uint32_t A, std::uint32_t B, unsigned I,
 /// Sentinel stored in the memo table for ⊥ results.
 constexpr TransformId BottomId = UINT32_MAX;
 
+/// Id-indexed memo of a unary operation over interned ids (inv).
+class UnaryMemo {
+public:
+  template <typename Fn> TransformId get(TransformId A, Fn &&Compute) {
+    if (A < Memo.size() && Memo[A] != BottomId)
+      return Memo[A];
+    TransformId R = Compute();
+    if (Memo.size() <= A)
+      Memo.resize(static_cast<std::size_t>(A) + 1, BottomId);
+    Memo[A] = R;
+    return R;
+  }
+
+private:
+  std::vector<TransformId> Memo;
+};
+
 /// Serialization helpers for exportInterned/importInterned: a CtxtVec is
 /// encoded as its length followed by its elements.
 void putVec(std::vector<std::uint32_t> &Out, const CtxtVec &V) {
@@ -106,7 +123,7 @@ public:
       : Domain(Cfg, std::move(COH)) {}
 
   TransformId record(const CtxtVec &M) override {
-    return Pairs.intern(recordPair(M, Cfg.HeapDepth));
+    return intern(recordPair(M, Cfg.HeapDepth));
   }
 
   std::optional<TransformId> comp(TransformId A, TransformId B,
@@ -123,7 +140,7 @@ public:
       return It->second;
     }
     std::optional<CtxtPair> R = composePairs(Pairs[A], Pairs[B]);
-    TransformId Id = R ? Pairs.intern(*R) : BottomId;
+    TransformId Id = R ? intern(*R) : BottomId;
     CompCache.emplace(Key, Id);
     if (Id == BottomId)
       return std::nullopt;
@@ -131,7 +148,7 @@ public:
   }
 
   TransformId inv(TransformId A) override {
-    return Pairs.intern(inversePair(Pairs[A]));
+    return InvCache.get(A, [&] { return intern(inversePair(Pairs[A])); });
   }
 
   TransformId mergeVirtual(std::uint32_t Heap, std::uint32_t Invoke,
@@ -146,17 +163,17 @@ public:
     const CtxtVec &Base = Cfg.Flav == Flavour::CallSite ? P.Out : P.In;
     for (CtxtElem C : Base)
       Callee.push_back(C);
-    return Pairs.intern({P.Out, Callee.takePrefix(Cfg.MethodDepth)});
+    return intern({P.Out, Callee.takePrefix(Cfg.MethodDepth)});
   }
 
   TransformId mergeStatic(std::uint32_t Invoke, const CtxtVec &M) override {
     if (!staticPushesCallSite())
-      return Pairs.intern({M, M}); // merge_s^c(I, M) = (M, M).
+      return intern({M, M}); // merge_s^c(I, M) = (M, M).
     CtxtVec Callee;
     Callee.push_back(invokeElem(Invoke));
     for (CtxtElem C : M)
       Callee.push_back(C);
-    return Pairs.intern({M, Callee.takePrefix(Cfg.MethodDepth)});
+    return intern({M, Callee.takePrefix(Cfg.MethodDepth)});
   }
 
   CtxtVec target(TransformId Call) const override {
@@ -165,14 +182,14 @@ public:
 
   TransformId globalize(TransformId B) override {
     // (U, V) -> (U, ε): keep only the heap-context side.
-    return Pairs.intern({Pairs[B].In, CtxtVec()});
+    return intern({Pairs[B].In, CtxtVec()});
   }
 
   TransformId retarget(TransformId A, const CtxtVec &M) override {
     // (U, _) -> (U, M): the loader's own reachable context. The explicit
     // enumeration over reach is exactly the context-string redundancy the
     // transformer abstraction avoids.
-    return Pairs.intern({Pairs[A].In, M});
+    return intern({Pairs[A].In, M});
   }
 
   std::size_t size() const override { return Pairs.size(); }
@@ -203,15 +220,27 @@ public:
       if (!getVec(Words, Pos, P.In) || !getVec(Words, Pos, P.Out))
         return false;
       TransformId Expected = Pairs.size();
-      if (Pairs.intern(P) != Expected)
+      if (intern(P) != Expected)
         return false; // Duplicate value in the stream: corrupt.
     }
     return true;
   }
 
 private:
+  /// Interns \p P; a new id's join keys are the interned ids of its
+  /// middle strings.
+  TransformId intern(const CtxtPair &P) {
+    std::uint32_t Fresh = Pairs.size();
+    TransformId Id = Pairs.intern(P);
+    if (Id == Fresh)
+      noteKeys(Id, Middles.intern(P.Out), Middles.intern(P.In));
+    return Id;
+  }
+
   Interner<CtxtPair, CtxtPairHash> Pairs;
+  Interner<CtxtVec, CtxtVecHash> Middles;
   std::unordered_map<std::uint64_t, TransformId> CompCache;
+  UnaryMemo InvCache;
 };
 
 //===----------------------------------------------------------------------===//
@@ -222,7 +251,7 @@ class TransformerDomain final : public Domain {
 public:
   TransformerDomain(const Config &Cfg, std::vector<std::uint32_t> COH)
       : Domain(Cfg, std::move(COH)) {
-    EpsilonId = Strings.intern(Transformer::identity());
+    EpsilonId = intern(Transformer::identity());
   }
 
   TransformId record(const CtxtVec &) override {
@@ -243,7 +272,7 @@ public:
     }
     std::optional<Transformer> R =
         composeTruncated(Strings[A], Strings[B], MaxExits, MaxEntries);
-    TransformId Id = R ? Strings.intern(*R) : BottomId;
+    TransformId Id = R ? intern(*R) : BottomId;
     CompCache.emplace(Key, Id);
     if (Id == BottomId)
       return std::nullopt;
@@ -251,13 +280,7 @@ public:
   }
 
   TransformId inv(TransformId A) override {
-    if (A < InvCache.size() && InvCache[A] != BottomId)
-      return InvCache[A];
-    TransformId R = Strings.intern(inverse(Strings[A]));
-    if (InvCache.size() <= A)
-      InvCache.resize(static_cast<std::size_t>(A) + 1, BottomId);
-    InvCache[A] = R;
-    return R;
+    return InvCache.get(A, [&] { return intern(inverse(Strings[A])); });
   }
 
   TransformId mergeVirtual(std::uint32_t Heap, std::uint32_t Invoke,
@@ -279,17 +302,17 @@ public:
       for (CtxtElem C : T.Exits)
         R.Entries.push_back(C);
     }
-    return Strings.intern(truncate(R, Cfg.MethodDepth, Cfg.MethodDepth));
+    return intern(truncate(R, Cfg.MethodDepth, Cfg.MethodDepth));
   }
 
   TransformId mergeStatic(std::uint32_t Invoke, const CtxtVec &M) override {
     if (staticPushesCallSite())
-      return Strings.intern(truncate(
+      return intern(truncate(
           Transformer::entry(invokeElem(Invoke)), Cfg.MethodDepth,
           Cfg.MethodDepth));
     // Object/type: merge_s^t(I, M) = M̌·M̂, the prefix filter that forbids
     // return flow into unreachable caller contexts (Section 3).
-    return Strings.intern(prefixFilter(M));
+    return intern(prefixFilter(M));
   }
 
   CtxtVec target(TransformId Call) const override {
@@ -299,7 +322,7 @@ public:
   TransformId globalize(TransformId B) override {
     // trunc_{h,0}: dropping all entries wildcards the target side unless
     // the transformation had no entries to begin with.
-    return Strings.intern(truncate(Strings[B], Cfg.HeapDepth, 0));
+    return intern(truncate(Strings[B], Cfg.HeapDepth, 0));
   }
 
   TransformId retarget(TransformId A, const CtxtVec &M) override {
@@ -308,7 +331,7 @@ public:
     R.Exits = Strings[A].Exits;
     R.Wild = true;
     R.Entries = M;
-    return Strings.intern(
+    return intern(
         truncate(R, Cfg.HeapDepth, Cfg.MethodDepth));
   }
 
@@ -345,7 +368,7 @@ public:
           Pos >= Words.size() || Words[Pos] > 1)
         return false;
       T.Wild = Words[Pos++] == 1;
-      if (Strings.intern(T) != Expected)
+      if (intern(T) != Expected)
         return false;
       ++Expected;
     }
@@ -353,10 +376,21 @@ public:
   }
 
 private:
+  /// Interns \p T; a new id's join keys are its first entry and exit
+  /// letters, the pair `match` cancels first.
+  TransformId intern(const Transformer &T) {
+    std::uint32_t Fresh = Strings.size();
+    TransformId Id = Strings.intern(T);
+    if (Id == Fresh)
+      noteKeys(Id, T.Entries.empty() ? AnyKey : T.Entries[0],
+               T.Exits.empty() ? AnyKey : T.Exits[0]);
+    return Id;
+  }
+
   Interner<Transformer, TransformerHash> Strings;
   TransformId EpsilonId;
   std::unordered_map<std::uint64_t, TransformId> CompCache;
-  std::vector<TransformId> InvCache;
+  UnaryMemo InvCache;
 };
 
 } // namespace

@@ -13,10 +13,16 @@
 ///
 /// Abstract transformations are interned to dense 32-bit ids so derived
 /// relations are flat integer tuples; composition and inverse are memoized
-/// per id pair. This interning + memoization plays the role of the paper's
-/// Section-7 decomposition of transformer strings into per-configuration
-/// relations: joins bind whole transformation ids instead of re-parsing
-/// string structure.
+/// per id pair and per id.
+///
+/// Section 7 of the paper makes joins cheap by indexing on the part of a
+/// transformation that composition must agree on. Every interned id
+/// carries two such join keys, outKey and inKey, and the solver's join
+/// indexes (analysis/JoinIndex.h) list partners by key so a rule only
+/// probes partners that can compose. Key soundness: comp(A, B) ≠ ⊥
+/// implies keysCompatible(outKey(A), inKey(B)); for context strings the
+/// converse holds too. Also inKey(inv(X)) == outKey(X), so every join
+/// probes with a key of its driving fact.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +34,8 @@
 #include "ctx/Ctxt.h"
 #include "ctx/TransformerString.h"
 
+#include <cassert>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -55,6 +63,26 @@ public:
   Domain &operator=(const Domain &) = delete;
 
   const Config &config() const { return Cfg; }
+
+  /// Join key that composes with every key.
+  static constexpr std::uint32_t AnyKey = UINT32_MAX;
+
+  /// Join key of \p T's output side, the one its right operand in comp
+  /// meets: the interned id of a context-string pair's Out string, or a
+  /// transformer string's first entry letter (the first one `match`
+  /// cancels), AnyKey when it has no entries.
+  std::uint32_t outKey(TransformId T) const { return OutKeys[T]; }
+
+  /// Join key of \p T's input side, the one its left operand in comp
+  /// meets: the id of the pair's In string, or the first exit letter
+  /// (AnyKey when there is none).
+  std::uint32_t inKey(TransformId T) const { return InKeys[T]; }
+
+  /// Whether an outKey and an inKey may compose (a filter: comp still
+  /// judges every pair that passes it).
+  static bool keysCompatible(std::uint32_t Out, std::uint32_t In) {
+    return Out == In || Out == AnyKey || In == AnyKey;
+  }
 
   /// record(M): the transformation attached to a heap allocation observed
   /// under reachable-context prefix \p M. Result lives in CtxtT_{h,m}.
@@ -158,8 +186,20 @@ protected:
     return Cfg.Flav == Flavour::CallSite || Cfg.Flav == Flavour::Hybrid;
   }
 
+  /// Records the join keys of \p Id; implementations call it once per
+  /// newly interned id, in id order.
+  void noteKeys(TransformId Id, std::uint32_t Out, std::uint32_t In) {
+    assert(Id == OutKeys.size() && "join keys noted out of id order");
+    (void)Id;
+    OutKeys.push_back(Out);
+    InKeys.push_back(In);
+  }
+
   Config Cfg;
   std::vector<std::uint32_t> ClassOfHeap;
+
+private:
+  std::vector<std::uint32_t> OutKeys, InKeys;
 };
 
 /// Creates the domain implementation selected by \p Cfg.Abs.

@@ -4,11 +4,15 @@
 // Pointer Analysis" (Thiessen & Lhoták, PLDI 2017).
 //
 // Checks record / merge / merge_s / target under each abstraction and each
-// flavour against the definitions of Figure 4.
+// flavour against the definitions of Figure 4, and the join keys the
+// solver's indexes rely on.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Solver.h"
 #include "ctx/Domain.h"
+#include "facts/Extract.h"
+#include "workload/Presets.h"
 
 #include "gtest/gtest.h"
 
@@ -26,6 +30,9 @@ CtxtVec vec(std::initializer_list<CtxtElem> E) {
 
 // Heap site 0 belongs to class 5; heap site 1 to class 6.
 std::vector<std::uint32_t> classTable() { return {5, 6}; }
+
+// The transformer-string join key of a call-site letter.
+std::uint32_t invokeKey(std::uint32_t Invoke) { return elemOfEntity(Invoke); }
 
 TEST(DomainTest, ContextStringRecord) {
   Config Cfg = oneCallH(Abstraction::ContextString); // m = 1, h = 1.
@@ -163,6 +170,69 @@ TEST(DomainTest, CompBottomIsFiltered) {
   EXPECT_FALSE(D->comp(C2, Inv3, 1, 1).has_value());
   // Repeat to exercise the memoized-⊥ path.
   EXPECT_FALSE(D->comp(C2, Inv3, 1, 1).has_value());
+}
+
+TEST(DomainTest, ContextStringJoinKeysAreTheMiddles) {
+  auto D = makeDomain(oneCallH(Abstraction::ContextString), classTable());
+  CtxtVec M1 = vec({elemOfEntity(1)}), M2 = vec({elemOfEntity(2)});
+  TransformId A = D->mergeStatic(1, vec({EntryElem})); // ([entry], [1])
+  TransformId B = D->record(M1);                       // ([1], [1])
+  TransformId C = D->record(M2);                       // ([2], [2])
+  EXPECT_EQ(D->outKey(A), D->inKey(B));
+  EXPECT_TRUE(D->comp(A, B, 1, 1).has_value());
+  EXPECT_NE(D->outKey(A), D->inKey(C));
+  EXPECT_FALSE(D->comp(A, C, 1, 1).has_value());
+  for (TransformId X : {A, B, C})
+    EXPECT_EQ(D->inKey(D->inv(X)), D->outKey(X));
+}
+
+TEST(DomainTest, TransformerJoinKeysAreTheFirstLetters) {
+  auto D = makeDomain(oneCallH(Abstraction::TransformerString),
+                      classTable());
+  TransformId Eps = D->record(vec({EntryElem}));
+  TransformId C2 = D->mergeStatic(2, vec({EntryElem})); // Î2
+  EXPECT_EQ(D->outKey(Eps), Domain::AnyKey);
+  EXPECT_EQ(D->inKey(Eps), Domain::AnyKey);
+  EXPECT_EQ(D->outKey(C2), invokeKey(2));
+  EXPECT_EQ(D->inKey(C2), Domain::AnyKey);
+  TransformId Inv2 = D->inv(C2); // Ǐ2
+  EXPECT_EQ(D->inKey(Inv2), D->outKey(C2));
+  EXPECT_EQ(D->outKey(Inv2), Domain::AnyKey);
+}
+
+// Key soundness, over every id pair of a domain solved on bloat (the
+// preset with the most ⊥ candidates): comp(A, B) ≠ ⊥ implies that
+// outKey(A) and inKey(B) are compatible, and under context strings the
+// converse holds too. The pairs are composed on the interned values, so
+// the check neither grows nor memoizes into the domain.
+TEST(DomainTest, JoinKeysAreSoundOnASolvedDomain) {
+  facts::FactDB DB = facts::extract(workload::generatePreset("bloat"));
+  for (Abstraction A :
+       {Abstraction::ContextString, Abstraction::TransformerString}) {
+    analysis::Results R = analysis::solve(DB, twoObjectH(A));
+    const Domain &D = *R.Dom;
+    const auto N = static_cast<TransformId>(D.size());
+    ASSERT_GT(N, 1000u);
+    std::size_t Composable = 0, Missed = 0, Spurious = 0;
+    for (TransformId X = 0; X < N; ++X)
+      for (TransformId Y = 0; Y < N; ++Y) {
+        bool Composes =
+            A == Abstraction::ContextString
+                ? composePairs(D.ctxtPair(X), D.ctxtPair(Y)).has_value()
+                : compose(D.transformer(X), D.transformer(Y)).has_value();
+        bool Keyed = Domain::keysCompatible(D.outKey(X), D.inKey(Y));
+        Composable += Composes;
+        Missed += Composes && !Keyed;
+        Spurious += !Composes && Keyed;
+      }
+    EXPECT_GT(Composable, 0u);
+    EXPECT_EQ(Missed, 0u) << "composable pairs the keys would skip";
+    if (A == Abstraction::ContextString) {
+      EXPECT_EQ(Spurious, 0u) << "context-string keys must be exact";
+    }
+    for (TransformId X = 0; X < N; ++X)
+      ASSERT_EQ(R.Dom->inKey(R.Dom->inv(X)), D.outKey(X)) << X;
+  }
 }
 
 TEST(DomainTest, InsensitiveConfigCollapsesEverything) {

@@ -85,6 +85,48 @@ TEST(RecursionTest, DirectStaticRecursion) {
   EXPECT_EQ(R.pointsTo(T), (U32s{H}));
 }
 
+TEST(RecursionTest, SelfCallPassingItsOwnFormalWithProvenance) {
+  // rec(p) { t = rec(p); return t; } — the self call passes the formal p
+  // back to p ([PARAM] joins pts(p) while adding to pts(p)) and assigns
+  // its result to the returned t ([RET] joins pts(t) while adding to
+  // pts(t)). The second program also returns p so that t points
+  // somewhere. Provenance reads each partner after the add, which is
+  // where a join that iterated a growing partner list read freed memory.
+  for (bool AlsoReturnFormal : {false, true}) {
+    Builder B;
+    TypeId Obj = B.addClass("Object");
+    MethodId Rec = B.addStaticMethod(Obj, "rec", 1);
+    VarId P = B.formal(Rec, 0);
+    VarId T = B.addLocal(Rec, "t");
+    B.addStaticCall(Rec, Rec, {P}, T, "self");
+    B.addReturn(Rec, T);
+    if (AlsoReturnFormal)
+      B.addReturn(Rec, P);
+    MethodId Main = B.addStaticMethod(Obj, "main", 0);
+    B.setMain(Main);
+    VarId X = B.addLocal(Main, "x");
+    HeapId H = B.addNew(Main, X, Obj, "h");
+    VarId Y = B.addLocal(Main, "y");
+    B.addStaticCall(Main, Rec, {X}, Y, "c0");
+    facts::FactDB DB = facts::extract(B.take());
+
+    analysis::SolverOptions Opts;
+    Opts.Provenance.Enabled = true;
+    const U32s Returned = AlsoReturnFormal ? U32s{H} : U32s{};
+    for (Abstraction A :
+         {Abstraction::ContextString, Abstraction::TransformerString})
+      for (const Config &Cfg : allConfigs(A)) {
+        if (Cfg.Flav != ctx::Flavour::CallSite)
+          continue;
+        analysis::Results R = analysis::solve(DB, Cfg, Opts);
+        ASSERT_TRUE(R.Prov) << Cfg.name();
+        EXPECT_EQ(R.pointsTo(P), (U32s{H})) << Cfg.name();
+        EXPECT_EQ(R.pointsTo(T), Returned) << Cfg.name();
+        EXPECT_EQ(R.pointsTo(Y), Returned) << Cfg.name();
+      }
+  }
+}
+
 TEST(RecursionTest, MutualRecursion) {
   // even(p) calls odd(p), odd(p) calls even(p); both return p.
   Builder B;

@@ -11,6 +11,7 @@
 #include "analysis/Solver.h"
 #include "facts/Extract.h"
 #include "ir/Builder.h"
+#include "workload/Presets.h"
 
 #include "gtest/gtest.h"
 
@@ -201,6 +202,32 @@ TEST(SolverBasicTest, StatsAreConsistent) {
   EXPECT_EQ(R.Stat.NumReach, R.Reach.size());
   EXPECT_EQ(R.Stat.total(), R.Pts.size() + R.Hpts.size() + R.Call.size());
   EXPECT_GT(R.Stat.WorkItems, 0u);
+}
+
+// The join indexes hand comp only partners whose join keys agree. Under
+// context strings the keys are exact (the middle strings), so no
+// attempt is ⊥.
+TEST(SolverBasicTest, ContextStringJoinsNeverComposeToBottom) {
+  for (const std::string &Name : workload::presetNames()) {
+    facts::FactDB DB = facts::extract(workload::generatePreset(Name));
+    analysis::Results R =
+        analysis::solve(DB, ctx::twoObjectH(Abstraction::ContextString));
+    EXPECT_GT(R.Stat.CompAttempts, 0u) << Name;
+    EXPECT_EQ(R.Stat.CompBottoms, 0u) << Name;
+  }
+}
+
+// Under transformer strings the key is the first letter `match` cancels,
+// so a later letter can still mismatch; on bloat (whose AST pattern makes
+// the most ⊥ candidates) fewer than half the attempts may be ⊥. Without
+// the keys 96% were.
+TEST(SolverBasicTest, TransformerJoinsMostlyCompose) {
+  facts::FactDB DB = facts::extract(workload::generatePreset("bloat"));
+  analysis::Results R =
+      analysis::solve(DB, ctx::twoObjectH(Abstraction::TransformerString));
+  ASSERT_GT(R.Stat.CompAttempts, 0u);
+  EXPECT_LT(2 * R.Stat.CompBottoms, R.Stat.CompAttempts)
+      << R.Stat.CompBottoms << " of " << R.Stat.CompAttempts;
 }
 
 } // namespace

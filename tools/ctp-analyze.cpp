@@ -434,9 +434,11 @@ int main(int argc, char **argv) {
   std::printf("  total (pts+hpts+call) %zu\n", R.Stat.total());
   if (Collapse)
     std::printf("  collapsed pts facts  %zu\n", R.Stat.CollapsedPts);
-  std::printf("time: %.1f ms, %zu distinct transformations, peak rss "
-              "%llu MB\n",
+  std::printf("time: %.1f ms, %zu distinct transformations, %llu comp "
+              "calls (%llu bottom), peak rss %llu MB\n",
               R.Stat.Seconds * 1e3, R.Stat.DomainSize,
+              static_cast<unsigned long long>(R.Stat.CompAttempts),
+              static_cast<unsigned long long>(R.Stat.CompBottoms),
               static_cast<unsigned long long>(memgov::peakRssBytes() >>
                                               20));
 
