@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Provenance.h"
+#include "analysis/RuleTable.h"
 
 #include <sstream>
 #include <unordered_set>
@@ -35,95 +36,20 @@ std::vector<std::uint32_t> ProvenanceGraph::chain(std::uint32_t Node,
 
 namespace {
 
-const char *ruleName(ProvRule R) {
-  switch (R) {
-  case ProvRule::Entry:
-    return "entry";
-  case ProvRule::Assign:
-    return "assign";
-  case ProvRule::Cast:
-    return "cast";
-  case ProvRule::Load:
-    return "load";
-  case ProvRule::Store:
-    return "store";
-  case ProvRule::Param:
-    return "param";
-  case ProvRule::Ret:
-    return "return";
-  case ProvRule::Throw:
-    return "throw";
-  case ProvRule::GStore:
-    return "global-store";
-  case ProvRule::VirtCall:
-    return "virtual-dispatch";
-  case ProvRule::VirtThis:
-    return "this-binding";
-  case ProvRule::Ind:
-    return "indirect-flow";
-  case ProvRule::Reach:
-    return "reachability";
-  case ProvRule::GLoad:
-    return "global-load";
-  case ProvRule::New:
-    return "allocation";
-  case ProvRule::Static:
-    return "static-call";
-  }
-  return "?";
-}
-
-/// What the rule's aux word names, for the rendered suffix.
-const char *auxLabel(ProvRule R) {
-  switch (R) {
-  case ProvRule::Assign:
-  case ProvRule::Cast:
-  case ProvRule::GStore:
-  case ProvRule::Store:
-    return "from";
-  case ProvRule::Load:
-    return "base";
-  case ProvRule::Param:
-  case ProvRule::Ret:
-  case ProvRule::Throw:
-  case ProvRule::VirtCall:
-  case ProvRule::VirtThis:
-  case ProvRule::Reach:
-  case ProvRule::Static:
-    return "at";
-  case ProvRule::GLoad:
-    return "global";
-  case ProvRule::New:
-    return "site";
-  case ProvRule::Entry:
-  case ProvRule::Ind:
-    return nullptr;
-  }
-  return nullptr;
-}
-
-std::string auxName(ProvRule R, std::uint32_t Aux, const facts::FactDB &DB) {
-  switch (R) {
-  case ProvRule::Assign:
-  case ProvRule::Cast:
-  case ProvRule::Load:
-  case ProvRule::Store:
-  case ProvRule::GStore:
-    return Aux < DB.VarNames.size() ? DB.VarNames[Aux] : "?";
-  case ProvRule::Param:
-  case ProvRule::Ret:
-  case ProvRule::Throw:
-  case ProvRule::VirtCall:
-  case ProvRule::VirtThis:
-  case ProvRule::Reach:
-  case ProvRule::Static:
-    return Aux < DB.InvokeNames.size() ? DB.InvokeNames[Aux] : "?";
-  case ProvRule::GLoad:
-    return Aux < DB.GlobalNames.size() ? DB.GlobalNames[Aux] : "?";
-  case ProvRule::New:
-    return Aux < DB.HeapNames.size() ? DB.HeapNames[Aux] : "?";
-  case ProvRule::Entry:
-  case ProvRule::Ind:
+std::string auxName(AuxKind Kind, std::uint32_t Aux, const facts::FactDB &DB) {
+  auto Name = [&](const std::vector<std::string> &Tbl) {
+    return Aux < Tbl.size() ? Tbl[Aux] : std::string("?");
+  };
+  switch (Kind) {
+  case AuxKind::Var:
+    return Name(DB.VarNames);
+  case AuxKind::Invoke:
+    return Name(DB.InvokeNames);
+  case AuxKind::Global:
+    return Name(DB.GlobalNames);
+  case AuxKind::Heap:
+    return Name(DB.HeapNames);
+  case AuxKind::None:
     return {};
   }
   return {};
@@ -184,12 +110,13 @@ std::string analysis::renderProvenanceChain(
   std::ostringstream Out;
   for (std::uint32_t N : Nodes) {
     const ProvenanceGraph::Edge &E = G.edgeOf(N);
+    const RuleDesc *D = ruleDesc(E.Rule);
     Out << "  " << factText(G, N, DB, Dom, ReachCtxts) << "  <= "
-        << ruleName(E.Rule);
-    if (const char *L = auxLabel(E.Rule)) {
-      std::string A = auxName(E.Rule, E.Aux, DB);
+        << (D ? D->Display : "?");
+    if (D && D->AuxLabel) {
+      std::string A = auxName(D->Aux, E.Aux, DB);
       if (!A.empty())
-        Out << " (" << L << " " << A << ")";
+        Out << " (" << D->AuxLabel << " " << A << ")";
     }
     Out << "\n";
   }

@@ -15,39 +15,54 @@ namespace {
 // Canonical firing order: axioms first, then the per-statement rules in
 // the order the solver's processing loop considers them.
 const RuleDesc Table[] = {
-    {ProvRule::Entry, "ENTRY", ProvRel::Reach, RuleArity::Axiom},
-    {ProvRule::Assign, "ASSIGN", ProvRel::Pts, RuleArity::One},
-    {ProvRule::Cast, "CAST", ProvRel::Pts, RuleArity::One},
-    {ProvRule::Load, "LOAD", ProvRel::Hload, RuleArity::One},
-    {ProvRule::Store, "STORE", ProvRel::Hpts, RuleArity::Two},
-    {ProvRule::Param, "PARAM", ProvRel::Pts, RuleArity::Two},
-    {ProvRule::Ret, "RET", ProvRel::Pts, RuleArity::Two},
-    {ProvRule::Throw, "THROW", ProvRel::Pts, RuleArity::Two},
-    {ProvRule::GStore, "GSTORE", ProvRel::Gpts, RuleArity::One},
-    {ProvRule::VirtCall, "VIRT", ProvRel::Call, RuleArity::One},
-    {ProvRule::VirtThis, "VIRT-THIS", ProvRel::Pts, RuleArity::Two},
-    {ProvRule::Ind, "IND", ProvRel::Pts, RuleArity::Two},
-    {ProvRule::Reach, "REACH", ProvRel::Reach, RuleArity::One},
-    {ProvRule::GLoad, "GLOAD", ProvRel::Pts, RuleArity::Two},
-    {ProvRule::New, "NEW", ProvRel::Pts, RuleArity::One},
-    {ProvRule::Static, "STATIC", ProvRel::Call, RuleArity::One},
-    {ProvRule::Shortcut, "SHORTCUT", ProvRel::Pts, RuleArity::Two},
+    {ProvRule::Entry, "ENTRY", "entry",
+     ProvRel::Reach, RuleArity::Axiom, AuxKind::None, nullptr},
+    {ProvRule::Assign, "ASSIGN", "assign",
+     ProvRel::Pts, RuleArity::One, AuxKind::Var, "from"},
+    {ProvRule::Cast, "CAST", "cast",
+     ProvRel::Pts, RuleArity::One, AuxKind::Var, "from"},
+    {ProvRule::Load, "LOAD", "load",
+     ProvRel::Hload, RuleArity::One, AuxKind::Var, "base"},
+    {ProvRule::Store, "STORE", "store",
+     ProvRel::Hpts, RuleArity::Two, AuxKind::Var, "from"},
+    {ProvRule::Param, "PARAM", "param",
+     ProvRel::Pts, RuleArity::Two, AuxKind::Invoke, "at"},
+    {ProvRule::Ret, "RET", "return",
+     ProvRel::Pts, RuleArity::Two, AuxKind::Invoke, "at"},
+    {ProvRule::Throw, "THROW", "throw",
+     ProvRel::Pts, RuleArity::Two, AuxKind::Invoke, "at"},
+    {ProvRule::GStore, "GSTORE", "global-store",
+     ProvRel::Gpts, RuleArity::One, AuxKind::Var, "from"},
+    {ProvRule::VirtCall, "VIRT", "virtual-dispatch",
+     ProvRel::Call, RuleArity::One, AuxKind::Invoke, "at"},
+    {ProvRule::VirtThis, "VIRT-THIS", "this-binding",
+     ProvRel::Pts, RuleArity::Two, AuxKind::Invoke, "at"},
+    {ProvRule::Ind, "IND", "indirect-flow",
+     ProvRel::Pts, RuleArity::Two, AuxKind::None, nullptr},
+    {ProvRule::Reach, "REACH", "reachability",
+     ProvRel::Reach, RuleArity::One, AuxKind::Invoke, "at"},
+    {ProvRule::GLoad, "GLOAD", "global-load",
+     ProvRel::Pts, RuleArity::Two, AuxKind::Global, "global"},
+    {ProvRule::New, "NEW", "allocation",
+     ProvRel::Pts, RuleArity::One, AuxKind::Heap, "site"},
+    {ProvRule::Static, "STATIC", "static-call",
+     ProvRel::Call, RuleArity::One, AuxKind::Invoke, "at"},
+    {ProvRule::Shortcut, "SHORTCUT", "shortcut",
+     ProvRel::Pts, RuleArity::Two, AuxKind::Invoke, "at"},
 };
 
 } // namespace
 
-const RuleDesc *analysis::ruleTable(std::size_t &Count) {
-  Count = sizeof(Table) / sizeof(Table[0]);
-  return Table;
+const RuleDesc *analysis::ruleDesc(ProvRule R) {
+  for (const RuleDesc &D : Table)
+    if (D.Rule == R)
+      return &D;
+  return nullptr;
 }
 
 const char *analysis::ruleName(ProvRule R) {
-  std::size_t N;
-  const RuleDesc *T = ruleTable(N);
-  for (std::size_t I = 0; I < N; ++I)
-    if (T[I].Rule == R)
-      return T[I].Name;
-  return "?";
+  const RuleDesc *D = ruleDesc(R);
+  return D ? D->Name : "?";
 }
 
 const char *analysis::relName(ProvRel R) {

@@ -8,9 +8,10 @@
 /// \file
 /// A declarative table of the deduction rules the solvers implement: one
 /// descriptor per ProvRule, naming the rule and the derived relation it
-/// concludes into. The verifier (src/verify) iterates this table to drive
-/// rule re-application and to render rule names in counterexamples and
-/// support-certificate diagnostics; exposing it here keeps the rule
+/// concludes into. The verifier (src/verify) reads it to check a
+/// certificate's shape and to name rules in counterexamples and
+/// support-certificate diagnostics, and the provenance renderer reads the
+/// names a derivation chain prints; exposing it here keeps the rule
 /// vocabulary in src/analysis, next to the solver that defines it, and
 /// engine-independent (both back-ends implement exactly these rules).
 ///
@@ -30,20 +31,28 @@ namespace analysis {
 /// premises are not counted — they are enumerable from the FactDB).
 enum class RuleArity : std::uint8_t { Axiom, One, Two };
 
+/// What the aux word of a rule's provenance edges names.
+enum class AuxKind : std::uint8_t { None, Var, Invoke, Global, Heap };
+
 /// One deduction rule.
 struct RuleDesc {
   ProvRule Rule;
   /// Upper-case Figure 3 name ("ASSIGN", "VIRT", ...), stable across
   /// engines; used in diagnostics and counterexample rendering.
   const char *Name;
+  /// Lower-case name derivation chains print ("return", "indirect-flow").
+  const char *Display;
   /// The relation the rule concludes into.
   ProvRel Conclusion;
   RuleArity Arity;
+  /// What the edge's aux word names, and the word a rendered chain puts
+  /// before that name ("at", "from"); nullptr when nothing is printed.
+  AuxKind Aux;
+  const char *AuxLabel;
 };
 
-/// The full rule table, in the solver's canonical firing order. Iterating
-/// it visits every rule exactly once.
-const RuleDesc *ruleTable(std::size_t &Count);
+/// The descriptor of \p R, or nullptr for an out-of-range value.
+const RuleDesc *ruleDesc(ProvRule R);
 
 /// Display name of \p R ("ASSIGN"), or "?" for an out-of-range value.
 const char *ruleName(ProvRule R);

@@ -9,9 +9,10 @@
 // of Figure 3, enumerate every instance whose premises hold in the solved
 // result and require the conclusion to be present too. No worklists, no
 // deltas — each two-premise rule is driven from one side with the other
-// side joined through a complete index, which enumerates exactly the set
-// of instances a fixpoint must have closed. The first derivable-but-
-// absent tuple is the counterexample.
+// side joined through a complete, key-filtered index (DerivedView), which
+// enumerates every instance a fixpoint must have closed: the keys only
+// skip partners whose composition is ⊥. The first derivable-but-absent
+// tuple is the counterexample.
 //
 // The domain operations (comp, inv, record, merge, ...) are re-invoked
 // here; because transformations are content-addressed (interning assigns
@@ -79,7 +80,18 @@ public:
     return true;
   }
 
+  const ClosureStats &stats() const { return Counts; }
+
 private:
+  std::optional<TransformId> comp(TransformId A, TransformId B,
+                                  unsigned MaxExits, unsigned MaxEntries) {
+    ++Counts.CompAttempts;
+    std::optional<TransformId> C = R.Dom->comp(A, B, MaxExits, MaxEntries);
+    if (!C)
+      ++Counts.CompBottoms;
+    return C;
+  }
+
   bool missing(ProvRule Rule, const std::string &Fact) {
     CE = std::string(ruleName(Rule)) + " can still derive " + Fact;
     return false;
@@ -91,13 +103,14 @@ private:
     if (!Modulo)
       return false;
     // Collapse-mode closure: a retired conclusion is acceptable when a
-    // live fact for the same (variable, heap) pair subsumes it.
+    // live fact for the same (variable, heap) pair subsumes it. The walk
+    // over all of Var's facts stops at the first such fact.
     const ctx::Transformer &Want = R.Dom->transformer(T);
-    for (const auto &[H2, T2] : View.PtsByVar[Var])
-      if (H2 == Heap &&
-          (T2 == T || ctx::subsumes(R.Dom->transformer(T2), Want)))
-        return true;
-    return false;
+    return !View.PtsByVar.probe(
+        Var, KeyedPartners::AnyKey, [&](std::uint32_t H2, TransformId T2) {
+          return H2 != Heap ||
+                 (T2 != T && !ctx::subsumes(R.Dom->transformer(T2), Want));
+        });
   }
 
   bool expectPts(ProvRule Rule, std::uint32_t Var, std::uint32_t Heap,
@@ -116,6 +129,10 @@ private:
   }
 
   bool fromPts(const PtsFact &F) {
+    // Every join below composes F.T on the left, so it probes with F.T's
+    // left key.
+    const std::uint32_t Key = View.leftKey(F.T);
+
     // [ASSIGN] pts(Z,H,A), assign(Z,Y) |- pts(Y,H,A).
     for (std::uint32_t Y : In.AssignFrom[F.Var])
       if (!expectPts(ProvRule::Assign, Y, F.Heap, F.T))
@@ -138,22 +155,28 @@ private:
     //         |- hpts(G,Fl,H, B ; inv(C)). Driven from the value side;
     // the base side joins through the complete pts index.
     for (const auto &[Field, Base] : In.StoreByValue[F.Var])
-      for (const auto &[G, C] : View.PtsByVar[Base])
-        if (auto A = R.Dom->comp(F.T, R.Dom->inv(C), H, H)) {
-          HptsFact Cn{G, Field, F.Heap, *A};
-          if (!View.HptsSet.count(keyOf(Cn)))
-            return missing(ProvRule::Store, renderHpts(DB, R, Cn));
-        }
+      if (!View.PtsByVar.probe(Base, Key, [&](std::uint32_t G, TransformId C) {
+            auto A = comp(F.T, R.Dom->inv(C), H, H);
+            if (!A)
+              return true;
+            HptsFact Cn{G, Field, F.Heap, *A};
+            return View.HptsSet.count(keyOf(Cn)) ||
+                   missing(ProvRule::Store, renderHpts(DB, R, Cn));
+          }))
+        return false;
 
     // [PARAM] pts(Z,H,B), actual(Z,I,O), call(I,P,C), formal(Y,P,O)
     //         |- pts(Y,H, B ; C).
     for (const auto &[Invoke, Ord] : In.ActualByVar[F.Var])
-      for (const auto &[Callee, C] : View.CallByInvoke[Invoke])
-        if (auto It = In.FormalOf.find(pairKey(Callee, Ord));
-            It != In.FormalOf.end())
-          if (auto A = R.Dom->comp(F.T, C, H, M))
-            if (!expectPts(ProvRule::Param, It->second, F.Heap, *A))
-              return false;
+      if (!View.CallByInvoke.probe(
+              Invoke, Key, [&](std::uint32_t Callee, TransformId C) {
+                auto It = In.FormalOf.find(pairKey(Callee, Ord));
+                if (It == In.FormalOf.end())
+                  return true;
+                auto A = comp(F.T, C, H, M);
+                return !A || expectPts(ProvRule::Param, It->second, F.Heap, *A);
+              }))
+        return false;
 
     // [RET] pts(Z,H,B), return(Z,P), call(I,P,C), assign_return(I,Y)
     //       |- pts(Y,H, B ; inv(C)). Cut-shortcut mode elides the
@@ -163,32 +186,35 @@ private:
     for (std::uint32_t P : In.ReturnByVar[F.Var]) {
       if (Cut && Plan.isCutReturn(P, F.Var))
         continue;
-      for (const auto &[Invoke, C] : View.CallByCallee[P])
-        if (auto A = R.Dom->comp(F.T, R.Dom->inv(C), H, M))
-          for (std::uint32_t Y : In.AssignRetByInvoke[Invoke])
-            if (!expectPts(ProvRule::Ret, Y, F.Heap, *A))
-              return false;
+      if (!joinReturn(ProvRule::Ret, F, Key, P, In.AssignRetByInvoke))
+        return false;
     }
 
     // [SHORTCUT] pts(Z,H,B), actual(Z,I,O), call(I,P,C), plan(P,O),
     //            assign_return(I,Y) |- pts(Y,H, (B ; C) ; inv(C)).
     if (Cut)
       for (const auto &[Invoke, Ord] : In.ActualByVar[F.Var])
-        for (const auto &[Callee, C] : View.CallByInvoke[Invoke])
-          if (Plan.hasShortcut(Callee, Ord))
-            if (auto Mid = R.Dom->comp(F.T, C, H, M))
-              if (auto A = R.Dom->comp(*Mid, R.Dom->inv(C), H, M))
-                for (std::uint32_t Y : In.AssignRetByInvoke[Invoke])
-                  if (!expectPts(ProvRule::Shortcut, Y, F.Heap, *A))
-                    return false;
+        if (!View.CallByInvoke.probe(
+                Invoke, Key, [&](std::uint32_t Callee, TransformId C) {
+                  if (!Plan.hasShortcut(Callee, Ord))
+                    return true;
+                  auto Mid = comp(F.T, C, H, M);
+                  if (!Mid)
+                    return true;
+                  auto A = comp(*Mid, R.Dom->inv(C), H, M);
+                  if (!A)
+                    return true;
+                  for (std::uint32_t Y : In.AssignRetByInvoke[Invoke])
+                    if (!expectPts(ProvRule::Shortcut, Y, F.Heap, *A))
+                      return false;
+                  return true;
+                }))
+          return false;
 
     // [THROW] the exceptional return path.
     for (std::uint32_t P : In.ThrowByVar[F.Var])
-      for (const auto &[Invoke, C] : View.CallByCallee[P])
-        if (auto A = R.Dom->comp(F.T, R.Dom->inv(C), H, M))
-          for (std::uint32_t Y : In.CatchByInvoke[Invoke])
-            if (!expectPts(ProvRule::Throw, Y, F.Heap, *A))
-              return false;
+      if (!joinReturn(ProvRule::Throw, F, Key, P, In.CatchByInvoke))
+        return false;
 
     // [GSTORE] pts(X,H,B), global_store(X,G) |- gpts(G,H, globalize(B)).
     if (!In.GlobalStoreByValue[F.Var].empty()) {
@@ -216,7 +242,7 @@ private:
         std::uint32_t ThisY = In.ThisOf[Q];
         if (ThisY == facts::InvalidId)
           continue; // Rejected by FactDB::validate; defensive here.
-        if (auto A = R.Dom->comp(F.T, C, H, M))
+        if (auto A = comp(F.T, C, H, M))
           if (!expectPts(ProvRule::VirtThis, ThisY, F.Heap, *A))
             return false;
       }
@@ -224,16 +250,31 @@ private:
     return true;
   }
 
+  /// The RET/THROW join: pts(Z,H,B) of a variable returned (thrown) by
+  /// \p P meets every call(I,P,C) and flows, as B ; inv(C), into the
+  /// variables \p ToOf[I] lists.
+  bool joinReturn(ProvRule Rule, const PtsFact &F, std::uint32_t Key,
+                  std::uint32_t P,
+                  const std::vector<std::vector<std::uint32_t>> &ToOf) {
+    return View.CallByCallee.probe(
+        P, Key, [&](std::uint32_t Invoke, TransformId C) {
+          auto A = comp(F.T, R.Dom->inv(C), H, M);
+          if (A)
+            for (std::uint32_t Y : ToOf[Invoke])
+              if (!expectPts(Rule, Y, F.Heap, *A))
+                return false;
+          return true;
+        });
+  }
+
   bool fromHpts(const HptsFact &F) {
     // [IND] hpts(G,Fl,H,B), hload(G,Fl,Y,C) |- pts(Y,H, B ; C).
-    auto It = View.HloadByBaseField.find(pairKey(F.Base, F.Field));
-    if (It == View.HloadByBaseField.end())
-      return true;
-    for (const auto &[Y, C] : It->second)
-      if (auto A = R.Dom->comp(F.T, C, H, M))
-        if (!expectPts(ProvRule::Ind, Y, F.Heap, *A))
-          return false;
-    return true;
+    return View.HloadByBaseField.probe(
+        View.hloadSlot(F.Base, F.Field), View.leftKey(F.T),
+        [&](std::uint32_t Y, TransformId C) {
+          auto A = comp(F.T, C, H, M);
+          return !A || expectPts(ProvRule::Ind, Y, F.Heap, *A);
+        });
   }
 
   bool fromCall(const CallFact &F) {
@@ -286,6 +327,7 @@ private:
   bool Cut;
   ctx::CutShortcutPlan Plan;
   unsigned M, H;
+  ClosureStats Counts;
   std::string &CE;
 };
 
@@ -304,5 +346,9 @@ bool verify::checkClosure(const FactDB &DB, Results &R,
     Counterexample = "result carries no transformation domain";
     return false;
   }
-  return ClosureChecker(DB, R, Opts, Counterexample).run();
+  ClosureChecker Checker(DB, R, Opts, Counterexample);
+  const bool Closed = Checker.run();
+  if (Opts.Stats)
+    *Opts.Stats = Checker.stats();
+  return Closed;
 }

@@ -7,6 +7,8 @@
 
 #include "verify/Internal.h"
 
+#include "support/Interner.h"
+
 using namespace ctp;
 using namespace ctp::analysis;
 using namespace ctp::verify::detail;
@@ -84,37 +86,63 @@ InputIndices::InputIndices(const FactDB &DB) {
     SubtypePairs.insert(pairKey(F.Sub, F.Super));
 }
 
-DerivedView::DerivedView(const FactDB &DB, const Results &R) {
-  PtsByVar.resize(DB.numVars());
-  CallByInvoke.resize(DB.numInvokes());
-  CallByCallee.resize(DB.numMethods());
-  GptsByGlobal.resize(DB.numGlobals());
-  ReachByMethod.resize(DB.numMethods());
-  for (const PtsFact &F : R.Pts) {
+DerivedSets::DerivedSets(const Results &R) {
+  for (const PtsFact &F : R.Pts)
     PtsSet.insert(keyOf(F));
-    PtsByVar[F.Var].push_back({F.Heap, F.T});
-  }
-  for (const HptsFact &F : R.Hpts) {
+  for (const HptsFact &F : R.Hpts)
     HptsSet.insert(keyOf(F));
-    HptsByBaseField[pairKey(F.Base, F.Field)].push_back({F.Heap, F.T});
-  }
-  for (const HloadFact &F : R.Hload) {
+  for (const HloadFact &F : R.Hload)
     HloadSet.insert(keyOf(F));
-    HloadByBaseField[pairKey(F.Base, F.Field)].push_back({F.Var, F.T});
-  }
-  for (const CallFact &F : R.Call) {
+  for (const CallFact &F : R.Call)
     CallSet.insert(keyOf(F));
-    CallByInvoke[F.Invoke].push_back({F.Method, F.T});
-    CallByCallee[F.Method].push_back({F.Invoke, F.T});
-  }
-  for (const ReachFact &F : R.Reach) {
+  for (const ReachFact &F : R.Reach)
     ReachSet.insert(keyOf(F));
-    ReachByMethod[F.Method].push_back(F.CtxtId);
-  }
-  for (const GptsFact &F : R.Gpts) {
+  for (const GptsFact &F : R.Gpts)
     GptsSet.insert(keyOf(F));
-    GptsByGlobal[F.Global].push_back({F.Heap, F.T});
+}
+
+DerivedView::DerivedView(const FactDB &DB, const Results &R)
+    : DerivedSets(R) {
+  constexpr std::uint32_t AnyKey = KeyedPartners::AnyKey;
+  const std::size_t NumIds = R.Dom->size();
+  LeftKeys.resize(NumIds);
+  std::vector<std::uint32_t> RightKeys(NumIds);
+  if (R.Dom->config().Abs == ctx::Abstraction::TransformerString) {
+    for (ctx::TransformId T = 0; T < NumIds; ++T) {
+      const ctx::Transformer &X = R.Dom->transformer(T);
+      LeftKeys[T] = X.Entries.empty() ? AnyKey : X.Entries[0];
+      RightKeys[T] = X.Exits.empty() ? AnyKey : X.Exits[0];
+    }
+  } else {
+    Interner<ctx::CtxtVec, ctx::CtxtVecHash> Middles;
+    for (ctx::TransformId T = 0; T < NumIds; ++T) {
+      const ctx::CtxtPair &P = R.Dom->ctxtPair(T);
+      LeftKeys[T] = Middles.intern(P.Out);
+      RightKeys[T] = Middles.intern(P.In);
+    }
   }
+
+  PtsByVar = KeyedPartners(DB.numVars(), R.Pts, [&](const PtsFact &F) {
+    return KeyedPartners::Row{F.Var, LeftKeys[F.T], F.Heap, F.T};
+  });
+  CallByInvoke = KeyedPartners(DB.numInvokes(), R.Call, [&](const CallFact &F) {
+    return KeyedPartners::Row{F.Invoke, RightKeys[F.T], F.Method, F.T};
+  });
+  CallByCallee = KeyedPartners(DB.numMethods(), R.Call, [&](const CallFact &F) {
+    return KeyedPartners::Row{F.Method, LeftKeys[F.T], F.Invoke, F.T};
+  });
+  for (const HloadFact &F : R.Hload)
+    HloadSlotOf.try_emplace(pairKey(F.Base, F.Field),
+                            static_cast<std::uint32_t>(HloadSlotOf.size()));
+  HloadByBaseField =
+      KeyedPartners(HloadSlotOf.size(), R.Hload, [&](const HloadFact &F) {
+        return KeyedPartners::Row{hloadSlot(F.Base, F.Field),
+                                  RightKeys[F.T], F.Var, F.T};
+      });
+
+  ReachByMethod.resize(DB.numMethods());
+  for (const ReachFact &F : R.Reach)
+    ReachByMethod[F.Method].push_back(F.CtxtId);
 }
 
 std::string verify::detail::entityName(const std::vector<std::string> &Names,

@@ -9,9 +9,9 @@
 /// Internals shared by the closure and support certifiers: the input-fact
 /// indices (a deliberate restatement of the solver's buildInputIndices —
 /// the verifier re-derives its own view of the rules rather than trusting
-/// solver state), the derived-relation membership/join view built from a
-/// Results object, and the fact renderers used for counterexamples and
-/// canonical serialization.
+/// solver state), the derived-relation membership sets and the closure
+/// check's keyed join lists built from a Results object, and the fact
+/// renderers used for counterexamples and canonical serialization.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +21,7 @@
 #include "analysis/Results.h"
 #include "facts/FactDB.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -69,23 +70,127 @@ struct InputIndices {
   std::unordered_set<std::uint64_t> SubtypePairs;
 };
 
-/// Membership sets and join indices over a Results object's relations —
-/// the "complete relations" the certifiers enumerate rule instances from.
-struct DerivedView {
-  DerivedView(const facts::FactDB &DB, const analysis::Results &R);
-
-  using PairList =
-      std::vector<std::pair<std::uint32_t, ctx::TransformId>>;
+/// Membership sets over a Results object's relations — the "complete
+/// relations" whose tuples the certifiers look up.
+struct DerivedSets {
+  explicit DerivedSets(const analysis::Results &R);
 
   std::unordered_set<analysis::FactKey, analysis::FactKeyHash> PtsSet,
       HptsSet, HloadSet, CallSet, ReachSet, GptsSet;
-  std::vector<PairList> PtsByVar;      // Var -> (Heap, T)
-  std::vector<PairList> CallByInvoke;  // Invoke -> (Method, T)
-  std::vector<PairList> CallByCallee;  // Method -> (Invoke, T)
-  std::vector<PairList> GptsByGlobal;  // Global -> (Heap, T)
-  std::unordered_map<std::uint64_t, PairList> HptsByBaseField, // -> (Heap,T)
-      HloadByBaseField;                                        // -> (Var,T)
+};
+
+/// Immutable partner lists of one two-premise join, keyed by the part of
+/// a transformation that comp must agree on. Entries sit in one array
+/// sorted by (owner, key), with per-owner offsets; AnyKey sorts last, so
+/// an owner's any-key entries form the tail of its run. A probe with key
+/// K visits the owner's K entries and its any-key entries; a probe with
+/// AnyKey visits the whole owner. Entries keep their insertion order
+/// within one (owner, key), so enumeration order is deterministic.
+class KeyedPartners {
+public:
+  static constexpr std::uint32_t AnyKey = UINT32_MAX;
+  /// An owner id no probe finds entries under.
+  static constexpr std::uint32_t NoOwner = UINT32_MAX;
+
+  struct Row {
+    std::uint32_t Owner, Key, Other;
+    ctx::TransformId T;
+  };
+
+  KeyedPartners() = default;
+
+  /// Lists \p RowOf(F) for every fact F of \p Facts under owners below
+  /// \p NumOwners. \p RowOf is called twice per fact.
+  template <typename Range, typename RowFn>
+  KeyedPartners(std::size_t NumOwners, const Range &Facts, RowFn &&RowOf) {
+    // Counting sort by owner keeps insertion order within an owner; a
+    // stable sort by key then groups each owner's run.
+    Begin.assign(NumOwners + 1, 0);
+    for (const auto &F : Facts)
+      ++Begin[RowOf(F).Owner + 1];
+    for (std::size_t O = 0; O < NumOwners; ++O)
+      Begin[O + 1] += Begin[O];
+    Entries.resize(Begin.back());
+    std::vector<std::uint32_t> Next(Begin.begin(), Begin.end() - 1);
+    for (const auto &F : Facts) {
+      Row X = RowOf(F);
+      Entries[Next[X.Owner]++] = Entry{X.Key, X.Other, X.T};
+    }
+    for (std::size_t O = 0; O < NumOwners; ++O)
+      std::stable_sort(
+          Entries.begin() + Begin[O], Entries.begin() + Begin[O + 1],
+          [](const Entry &A, const Entry &B) { return A.Key < B.Key; });
+  }
+
+  /// Calls \p Fn(Other, T) for every entry of \p Owner whose key is
+  /// compatible with \p Key, stopping as soon as \p Fn returns false.
+  /// \returns false iff \p Fn stopped the walk.
+  template <typename Fn>
+  bool probe(std::uint32_t Owner, std::uint32_t Key, Fn &&F) const {
+    if (static_cast<std::size_t>(Owner) + 1 >= Begin.size())
+      return true;
+    const Entry *First = Entries.data() + Begin[Owner];
+    const Entry *Last = Entries.data() + Begin[Owner + 1];
+    auto Visit = [&](const Entry *B, const Entry *E) {
+      for (; B != E; ++B)
+        if (!F(B->Other, B->T))
+          return false;
+      return true;
+    };
+    if (Key == AnyKey)
+      return Visit(First, Last);
+    auto ByKey = [](const Entry &E, std::uint32_t K) { return E.Key < K; };
+    const Entry *AnyRun = std::lower_bound(First, Last, AnyKey, ByKey);
+    const Entry *Run = std::lower_bound(First, AnyRun, Key, ByKey);
+    const Entry *RunEnd = Run;
+    while (RunEnd != AnyRun && RunEnd->Key == Key)
+      ++RunEnd;
+    return Visit(Run, RunEnd) && Visit(AnyRun, Last);
+  }
+
+private:
+  struct Entry {
+    std::uint32_t Key, Other;
+    ctx::TransformId T;
+  };
+  std::vector<std::uint32_t> Begin; // Owner -> first entry; NumOwners + 1.
+  std::vector<Entry> Entries;
+};
+
+/// The membership sets plus the keyed join lists the closure rules probe.
+///
+/// The join keys are computed here from transformation values, never
+/// read from the solver's index, so the closure check does not trust the
+/// structure it certifies. A fact's left key is the side it contributes
+/// as comp's first operand, its right key the side it contributes as the
+/// second: for transformer strings the first entry and the first exit
+/// letter (AnyKey when that side is empty), the two letters `match`
+/// cancels against each other first; for context strings the
+/// view-interned Out and In strings, which must be equal to compose.
+/// comp(A, B) != ⊥ therefore implies compatible leftKey(A) and
+/// rightKey(B). inv swaps the sides, so rightKey(inv(C)) == leftKey(C)
+/// and every probe uses the left key of its driving fact.
+struct DerivedView : DerivedSets {
+  DerivedView(const facts::FactDB &DB, const analysis::Results &R);
+
+  std::uint32_t leftKey(ctx::TransformId T) const { return LeftKeys[T]; }
+
+  /// \returns the HloadByBaseField owner of (Base, Field), or NoOwner
+  /// when no hload fact has that base and field.
+  std::uint32_t hloadSlot(std::uint32_t Base, std::uint32_t Field) const {
+    auto It = HloadSlotOf.find(pairKey(Base, Field));
+    return It == HloadSlotOf.end() ? KeyedPartners::NoOwner : It->second;
+  }
+
+  KeyedPartners PtsByVar;         // Var -> (Heap, T) by leftKey(T)
+  KeyedPartners CallByInvoke;     // Invoke -> (Method, T) by rightKey(T)
+  KeyedPartners CallByCallee;     // Method -> (Invoke, T) by leftKey(T)
+  KeyedPartners HloadByBaseField; // hloadSlot -> (Var, T) by rightKey(T)
   std::vector<std::vector<std::uint32_t>> ReachByMethod; // Method -> CtxtId
+
+private:
+  std::vector<std::uint32_t> LeftKeys; // TransformId -> left key
+  std::unordered_map<std::uint64_t, std::uint32_t> HloadSlotOf;
 };
 
 /// Entity-name helpers: the recorded name, or "kind#id" when the table

@@ -40,7 +40,7 @@ constexpr std::uint32_t Invalid = ProvenanceGraph::InvalidNode;
 class SupportChecker {
 public:
   SupportChecker(const FactDB &DB, Results &R, std::string &CE)
-      : DB(DB), R(R), G(*R.Prov), In(DB), View(DB, R),
+      : DB(DB), R(R), G(*R.Prov), In(DB), Sets(R),
         M(R.Config.MethodDepth), H(R.Config.HeapDepth), CE(CE) {
     // SHORTCUT certificates ground in the cut plan; recompute it from
     // the inputs. For any other mode the plan stays empty, so a stray
@@ -96,12 +96,7 @@ private:
     const FactKey &K = G.factOf(N);
     const ProvenanceGraph::Edge &E = G.edgeOf(N);
 
-    std::size_t NumRules;
-    const RuleDesc *Table = ruleTable(NumRules);
-    const RuleDesc *Desc = nullptr;
-    for (std::size_t I = 0; I < NumRules; ++I)
-      if (Table[I].Rule == E.Rule)
-        Desc = &Table[I];
+    const RuleDesc *Desc = ruleDesc(E.Rule);
     if (!Desc)
       return fail(N, "unknown rule");
     if (Rel != Desc->Conclusion)
@@ -118,22 +113,22 @@ private:
     bool Present = false;
     switch (Rel) {
     case ProvRel::Pts:
-      Present = View.PtsSet.count(K) != 0;
+      Present = Sets.PtsSet.count(K) != 0;
       break;
     case ProvRel::Hpts:
-      Present = View.HptsSet.count(K) != 0;
+      Present = Sets.HptsSet.count(K) != 0;
       break;
     case ProvRel::Hload:
-      Present = View.HloadSet.count(K) != 0;
+      Present = Sets.HloadSet.count(K) != 0;
       break;
     case ProvRel::Call:
-      Present = View.CallSet.count(K) != 0;
+      Present = Sets.CallSet.count(K) != 0;
       break;
     case ProvRel::Reach:
-      Present = View.ReachSet.count(K) != 0;
+      Present = Sets.ReachSet.count(K) != 0;
       break;
     case ProvRel::Gpts:
-      Present = View.GptsSet.count(K) != 0;
+      Present = Sets.GptsSet.count(K) != 0;
       break;
     }
     if (!Present)
@@ -457,7 +452,7 @@ private:
   Results &R;
   const ProvenanceGraph &G;
   InputIndices In;
-  DerivedView View;
+  DerivedSets Sets;
   ctx::CutShortcutPlan Plan;
   unsigned M, H;
   std::string &CE;

@@ -15,7 +15,8 @@
 ///
 /// Checks:
 ///  - closure: naive re-application of every Figure 3 rule over the
-///    completed relations; any rule instance whose conclusion is missing
+///    completed relations, its joins filtered by context keys the checker
+///    computes itself; any rule instance whose conclusion is missing
 ///    is a counterexample (the "no rule can still fire" half of being a
 ///    fixpoint). Catches dropped tuples and under-derivation.
 ///  - support: walks the first-derivation provenance graph (native
@@ -52,6 +53,12 @@
 namespace ctp {
 namespace verify {
 
+/// Join work of one closure pass.
+struct ClosureStats {
+  std::uint64_t CompAttempts = 0; ///< comp calls made by the rules.
+  std::uint64_t CompBottoms = 0;  ///< Of those, how many returned ⊥.
+};
+
 /// Options of the closure check.
 struct ClosureOptions {
   /// Accept a missing pts conclusion when a present pts fact for the same
@@ -60,6 +67,9 @@ struct ClosureOptions {
   /// abstraction only; ignored otherwise. The driver verifies exact
   /// closure (it solves with collapsing off).
   bool ModuloSubsumption = false;
+  /// When set, receives the pass's join counters, also when the pass
+  /// finds a counterexample.
+  ClosureStats *Stats = nullptr;
 };
 
 /// Certifies that no deduction rule can derive a tuple missing from \p R

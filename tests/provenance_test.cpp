@@ -310,6 +310,32 @@ TEST(ProvenanceTest, RenderedChainNamesEntities) {
   EXPECT_NE(Text.find("<="), std::string::npos) << Text;
 }
 
+TEST(ProvenanceTest, RenderedShortcutStepNamesItsInvocation) {
+  // Cut-shortcut runs derive return flow per call site; the chain that
+  // `ctp-lint --explain` prints must name that step and its call site.
+  facts::FactDB DB = facts::extract(workload::generatePreset("luindex"));
+  ctx::Config Cfg;
+  ASSERT_TRUE(
+      ctx::configByName("cutshortcut", Abstraction::TransformerString, Cfg));
+  analysis::Results R = solveWithProv(DB, Cfg);
+  ASSERT_NE(R.Prov, nullptr);
+
+  std::uint32_t Node = ProvenanceGraph::InvalidNode;
+  for (std::uint32_t N = 0; N < R.Prov->size(); ++N)
+    if (R.Prov->edgeOf(N).Rule == ProvRule::Shortcut) {
+      Node = N;
+      break;
+    }
+  ASSERT_NE(Node, ProvenanceGraph::InvalidNode) << "no shortcut step";
+
+  std::string Text = analysis::renderProvenanceChain(
+      *R.Prov, Node, DB, *R.Dom, *R.ReachCtxts);
+  const std::string Want =
+      "<= shortcut (at " + DB.InvokeNames[R.Prov->edgeOf(Node).Aux] + ")";
+  EXPECT_NE(Text.find(Want), std::string::npos) << Text;
+  EXPECT_EQ(Text.find("<= ?"), std::string::npos) << Text;
+}
+
 TEST(ProvenanceTest, ResumedRunDropsProvenanceCleanly) {
   std::string Dir = ::testing::TempDir() + "/ctp_prov_resume";
   std::filesystem::remove_all(Dir);

@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Checkpoint.h"
+#include "analysis/RuleTable.h"
 #include "analysis/Solver.h"
 #include "analysis/Unify.h"
 #include "facts/Extract.h"
@@ -18,9 +19,14 @@
 #include "support/Verdict.h"
 #include "verify/Verify.h"
 #include "workload/Generator.h"
+#include "workload/Presets.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <set>
 #include <string>
 
 using namespace ctp;
@@ -91,6 +97,282 @@ TEST(VerifyTest, ClosureFailsOnDroppedTuple) {
   EXPECT_NE(CE.find("can still derive"), std::string::npos) << CE;
   EXPECT_NE(CE.find(DB.VarNames[Dropped.Var]), std::string::npos) << CE;
   EXPECT_NE(CE.find(DB.HeapNames[Dropped.Heap]), std::string::npos) << CE;
+}
+
+// --- Keyed closure joins ----------------------------------------------
+//
+// The closure check joins through partner lists keyed by the side of a
+// transformation comp must agree on. The key only filters: a probe must
+// still reach every partner that composes, under its own key, in the
+// owner's any-key run, and across the whole owner when the driving fact
+// has no key. Each case below drops a conclusion that only one keyed rule
+// can derive, and only through one of those three paths, so a probe that
+// skipped that path would let closure pass.
+
+/// How a probe reaches the partner of a keyed-join instance: in the
+/// driving fact's key run (both sides keyed), in the owner's any-key run
+/// (only the partner's side is empty), or only by visiting the whole owner
+/// (only the driving fact's side is empty). Both sides empty is Other.
+enum class JoinPath { KeyRun, AnyRun, WholeOwner, Other };
+
+/// The conclusion a dropped-tuple case removes: a pts fact, or an hpts
+/// fact for STORE.
+struct KeyedTarget {
+  bool Found = false;
+  analysis::PtsFact Pts{};
+  analysis::HptsFact Hpts{};
+};
+
+/// The join side of a transformation, read from its value: \p Left is the
+/// side it contributes as comp's first operand (transformer entries,
+/// context-string Out), otherwise the second (exits, In). \returns
+/// nullopt for an empty transformer side, whose key matches every key.
+std::optional<ctx::CtxtVec> joinSide(const analysis::Results &R,
+                                     ctx::TransformId T, bool Left) {
+  if (R.Config.Abs == Abstraction::ContextString) {
+    const ctx::CtxtPair &P = R.Dom->ctxtPair(T);
+    return Left ? P.Out : P.In;
+  }
+  const ctx::Transformer &X = R.Dom->transformer(T);
+  const ctx::CtxtVec &Side = Left ? X.Entries : X.Exits;
+  if (Side.empty())
+    return std::nullopt;
+  return Side.takePrefix(1);
+}
+
+/// Finds a conclusion of \p Rule (STORE, PARAM, RET or IND) that no other
+/// rule can derive and whose every \p Rule instance takes path \p Want,
+/// enumerating the rule without any index.
+KeyedTarget findKeyedTarget(const facts::FactDB &DB, analysis::Results &R,
+                            analysis::ProvRule Rule, JoinPath Want) {
+  using analysis::ProvRule;
+  const unsigned M = R.Config.MethodDepth, H = R.Config.HeapDepth;
+  // Variables the rule is the only way into: every pts-concluding rule
+  // writes into the variables one input relation names.
+  std::map<std::uint32_t, std::set<ProvRule>> Sinks;
+  for (const auto &F : DB.Assigns)
+    Sinks[F.To].insert(ProvRule::Assign);
+  for (const auto &F : DB.Casts)
+    Sinks[F.To].insert(ProvRule::Cast);
+  for (const auto &F : DB.Formals)
+    Sinks[F.Var].insert(ProvRule::Param);
+  for (const auto &F : DB.AssignReturns)
+    Sinks[F.To].insert(ProvRule::Ret);
+  for (const auto &F : DB.Catches)
+    Sinks[F.To].insert(ProvRule::Throw);
+  for (const auto &F : DB.ThisVars)
+    Sinks[F.Var].insert(ProvRule::VirtThis);
+  for (const auto &F : DB.Loads)
+    Sinks[F.To].insert(ProvRule::Ind);
+  for (const auto &F : DB.GlobalLoads)
+    Sinks[F.To].insert(ProvRule::GLoad);
+  for (const auto &F : DB.AssignNews)
+    Sinks[F.To].insert(ProvRule::New);
+  auto OnlyInto = [&](std::uint32_t Y) {
+    return Sinks[Y] == std::set<ProvRule>{Rule};
+  };
+
+  // Conclusion -> the paths of the instances deriving it.
+  std::map<analysis::FactKey, std::set<JoinPath>> Paths;
+  auto Note = [&](const analysis::FactKey &K, ctx::TransformId Driver,
+                  ctx::TransformId Partner, bool PartnerLeft) {
+    const bool Keyed = joinSide(R, Driver, true).has_value();
+    const bool PartnerKeyed = joinSide(R, Partner, PartnerLeft).has_value();
+    Paths[K].insert(Keyed ? (PartnerKeyed ? JoinPath::KeyRun : JoinPath::AnyRun)
+                          : (PartnerKeyed ? JoinPath::WholeOwner
+                                          : JoinPath::Other));
+  };
+
+  // Plain per-column lists, so the enumeration is exhaustive but not
+  // quadratic.
+  std::vector<std::vector<analysis::PtsFact>> PtsOf(DB.numVars());
+  for (const analysis::PtsFact &F : R.Pts)
+    PtsOf[F.Var].push_back(F);
+  std::vector<std::vector<analysis::CallFact>> CallsAt(DB.numInvokes()),
+      CallsOf(DB.numMethods());
+  for (const analysis::CallFact &C : R.Call) {
+    CallsAt[C.Invoke].push_back(C);
+    CallsOf[C.Method].push_back(C);
+  }
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> FormalOf;
+  for (const auto &Fm : DB.Formals)
+    FormalOf[{Fm.Method, Fm.Ordinal}] = Fm.Var;
+  std::vector<std::vector<std::uint32_t>> RetInto(DB.numInvokes());
+  for (const auto &AR : DB.AssignReturns)
+    RetInto[AR.Invoke].push_back(AR.To);
+
+  if (Rule == ProvRule::Store)
+    for (const auto &S : DB.Stores)
+      for (const analysis::PtsFact &F : PtsOf[S.From])
+        for (const analysis::PtsFact &B : PtsOf[S.Base])
+          if (auto A = R.Dom->comp(F.T, R.Dom->inv(B.T), H, H))
+            Note(analysis::keyOf(
+                     analysis::HptsFact{B.Heap, S.Field, F.Heap, *A}),
+                 F.T, B.T, true);
+  if (Rule == ProvRule::Param)
+    for (const auto &Act : DB.Actuals)
+      for (const analysis::PtsFact &F : PtsOf[Act.Var])
+        for (const analysis::CallFact &C : CallsAt[Act.Invoke]) {
+          auto Y = FormalOf.find({C.Method, Act.Ordinal});
+          if (Y != FormalOf.end() && OnlyInto(Y->second))
+            if (auto A = R.Dom->comp(F.T, C.T, H, M))
+              Note(analysis::keyOf(analysis::PtsFact{Y->second, F.Heap, *A}),
+                   F.T, C.T, false);
+        }
+  if (Rule == ProvRule::Ret)
+    for (const auto &Rt : DB.Returns)
+      for (const analysis::PtsFact &F : PtsOf[Rt.Var])
+        for (const analysis::CallFact &C : CallsOf[Rt.Method])
+          for (std::uint32_t Y : RetInto[C.Invoke])
+            if (OnlyInto(Y))
+              if (auto A = R.Dom->comp(F.T, R.Dom->inv(C.T), H, M))
+                Note(analysis::keyOf(analysis::PtsFact{Y, F.Heap, *A}), F.T,
+                     C.T, true);
+  if (Rule == ProvRule::Ind) {
+    std::map<std::pair<std::uint32_t, std::uint32_t>,
+             std::vector<analysis::HloadFact>>
+        Loads;
+    for (const analysis::HloadFact &L : R.Hload)
+      if (OnlyInto(L.Var))
+        Loads[{L.Base, L.Field}].push_back(L);
+    for (const analysis::HptsFact &F : R.Hpts)
+      for (const analysis::HloadFact &L : Loads[{F.Base, F.Field}])
+        if (auto A = R.Dom->comp(F.T, L.T, H, M))
+          Note(analysis::keyOf(analysis::PtsFact{L.Var, F.Heap, *A}), F.T,
+               L.T, false);
+  }
+
+  KeyedTarget Out;
+  const std::set<JoinPath> Only{Want};
+  if (Rule == ProvRule::Store) {
+    for (const analysis::HptsFact &F : R.Hpts)
+      if (Paths[analysis::keyOf(F)] == Only) {
+        Out.Found = true;
+        Out.Hpts = F;
+        break;
+      }
+  } else {
+    for (const analysis::PtsFact &F : R.Pts)
+      if (Paths[analysis::keyOf(F)] == Only) {
+        Out.Found = true;
+        Out.Pts = F;
+        break;
+      }
+  }
+  return Out;
+}
+
+/// One dropped-conclusion case: a keyed rule, the probe path that alone
+/// derives the dropped conclusion, and an input where one exists.
+struct KeyedCase {
+  Abstraction Abs;
+  analysis::ProvRule Rule;
+  JoinPath Want;
+  bool OnBloat; // The bloat preset, else testDB().
+  const char *Config;
+};
+
+TEST(VerifyTest, ClosureFindsDroppedConclusionOfEachKeyedJoin) {
+  using analysis::ProvRule;
+  constexpr Abstraction CS = Abstraction::ContextString;
+  constexpr Abstraction TS = Abstraction::TransformerString;
+  constexpr JoinPath Key = JoinPath::KeyRun, Any = JoinPath::AnyRun,
+                     All = JoinPath::WholeOwner;
+  // Context strings key on whole middles, so only the key run exists.
+  // Transformer strings take the other paths wherever a side is empty; a
+  // RET partner is a call edge, whose merge always pushes an entry, so
+  // RET never meets the any-key run, and no configuration of these inputs
+  // has an IND conclusion that only the whole-owner walk reaches.
+  const KeyedCase Cases[] = {
+      {CS, ProvRule::Store, Key, true, "2-object+H"},
+      {CS, ProvRule::Param, Key, true, "2-object+H"},
+      {CS, ProvRule::Ret, Key, true, "2-object+H"},
+      {CS, ProvRule::Ind, Key, true, "2-object+H"},
+      {TS, ProvRule::Store, Key, true, "2-object+H"},
+      {TS, ProvRule::Store, Any, false, "2-object+H"},
+      {TS, ProvRule::Store, All, true, "2-object+H"},
+      {TS, ProvRule::Param, Key, true, "2-object+H"},
+      {TS, ProvRule::Param, Any, true, "2-object+H"},
+      {TS, ProvRule::Param, All, true, "2-object+H"},
+      {TS, ProvRule::Ret, Key, true, "2-object+H"},
+      {TS, ProvRule::Ret, All, true, "2-object+H"},
+      {TS, ProvRule::Ind, Key, true, "1-call+H"},
+      {TS, ProvRule::Ind, Any, true, "2-object+H"},
+  };
+  const facts::FactDB Bloat =
+      facts::extract(workload::generatePreset("bloat"));
+  const facts::FactDB Small = testDB();
+  for (const KeyedCase &C : Cases) {
+    const std::string Case =
+        std::string(analysis::ruleName(C.Rule)) +
+        (C.Want == Key ? "/key " : C.Want == Any ? "/any-run " : "/owner ") +
+        (C.Abs == CS ? "cs " : "ts ") + C.Config;
+    const facts::FactDB &DB = C.OnBloat ? Bloat : Small;
+    ctx::Config Cfg;
+    ASSERT_TRUE(ctx::configByName(C.Config, C.Abs, Cfg)) << Case;
+    analysis::Results R = analysis::solve(DB, Cfg);
+    ASSERT_EQ(R.Stat.Term, TerminationReason::Converged) << Case;
+    KeyedTarget Target = findKeyedTarget(DB, R, C.Rule, C.Want);
+    ASSERT_TRUE(Target.Found) << Case << ": no such conclusion";
+    if (C.Abs == CS) {
+      EXPECT_FALSE(findKeyedTarget(DB, R, C.Rule, Any).Found) << Case;
+      EXPECT_FALSE(findKeyedTarget(DB, R, C.Rule, All).Found) << Case;
+    }
+
+    std::string Fact;
+    if (C.Rule == ProvRule::Store) {
+      Fact = DB.HeapNames[Target.Hpts.Base];
+      R.Hpts.erase(std::find_if(
+          R.Hpts.begin(), R.Hpts.end(), [&](const analysis::HptsFact &F) {
+            return analysis::keyOf(F) == analysis::keyOf(Target.Hpts);
+          }));
+    } else {
+      Fact = DB.VarNames[Target.Pts.Var];
+      R.Pts.erase(std::find_if(
+          R.Pts.begin(), R.Pts.end(), [&](const analysis::PtsFact &F) {
+            return analysis::keyOf(F) == analysis::keyOf(Target.Pts);
+          }));
+    }
+    std::string CE;
+    EXPECT_FALSE(verify::checkClosure(DB, R, verify::ClosureOptions(), CE))
+        << Case;
+    const std::string Want =
+        std::string(analysis::ruleName(C.Rule)) + " can still derive";
+    EXPECT_EQ(CE.compare(0, Want.size(), Want), 0) << Case << ": " << CE;
+    EXPECT_NE(CE.find(Fact), std::string::npos) << Case << ": " << CE;
+  }
+}
+
+TEST(VerifyTest, ClosureCountsNoBottomUnderContextStrings) {
+  // Context strings compose exactly when the middles are equal, and the
+  // keys are those middles: no probe reaches a partner it cannot compose.
+  facts::FactDB DB = facts::extract(workload::generatePreset("bloat"));
+  analysis::Results R =
+      analysis::solve(DB, ctx::twoObjectH(Abstraction::ContextString));
+  verify::ClosureStats Stats;
+  verify::ClosureOptions Opts;
+  Opts.Stats = &Stats;
+  std::string CE;
+  ASSERT_TRUE(verify::checkClosure(DB, R, Opts, CE)) << CE;
+  EXPECT_GT(Stats.CompAttempts, 0u);
+  EXPECT_EQ(Stats.CompBottoms, 0u) << "of " << Stats.CompAttempts;
+}
+
+TEST(VerifyTest, ClosureBottomShareAtMostHalfUnderTransformerStrings) {
+  // A transformer-string key is only the first letter that `match`
+  // cancels, so later letters can still mismatch; on bloat the keyed
+  // joins leave about a third of the comp calls ⊥ (unkeyed: 97%).
+  facts::FactDB DB = facts::extract(workload::generatePreset("bloat"));
+  analysis::Results R =
+      analysis::solve(DB, ctx::twoObjectH(Abstraction::TransformerString));
+  verify::ClosureStats Stats;
+  verify::ClosureOptions Opts;
+  Opts.Stats = &Stats;
+  std::string CE;
+  ASSERT_TRUE(verify::checkClosure(DB, R, Opts, CE)) << CE;
+  EXPECT_GT(Stats.CompAttempts, 0u);
+  EXPECT_LE(2 * Stats.CompBottoms, Stats.CompAttempts)
+      << Stats.CompBottoms << " of " << Stats.CompAttempts;
 }
 
 TEST(VerifyTest, ClosureFailsOnTruncatedRun) {
