@@ -33,12 +33,14 @@
 #ifndef CTP_ANALYSIS_CHECKPOINT_H
 #define CTP_ANALYSIS_CHECKPOINT_H
 
+#include "analysis/Facts.h"
 #include "ctx/Config.h"
 #include "ctx/Ctxt.h"
 #include "support/Budget.h"
 #include "support/Interner.h"
 #include "support/Stats.h"
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -134,6 +136,19 @@ std::string readSnapshot(const std::string &Path, SolverSnapshot &S);
 /// Deletes the snapshot file in \p Dir, if any. A converged run removes
 /// its checkpoint so a later --resume cannot pick up stale state.
 void removeSnapshot(const std::string &Dir);
+
+/// Flattens the six derived relations, in insertion order, into \p S's
+/// relation sections. \p Heads gives each section's Head (how many
+/// leading tuples are already processed), in section order: pts, hpts,
+/// hload, call, reach, gpts.
+void encodeRelations(const std::vector<PtsFact> &Pts,
+                     const std::vector<HptsFact> &Hpts,
+                     const std::vector<HloadFact> &Hload,
+                     const std::vector<CallFact> &Call,
+                     const std::vector<ReachFact> &Reach,
+                     const std::vector<GptsFact> &Gpts,
+                     const std::array<std::uint64_t, 6> &Heads,
+                     SolverSnapshot &S);
 
 /// Flattens \p I in id order into \p Out (length-prefixed vectors).
 void encodeCtxtInterner(const Interner<ctx::CtxtVec, ctx::CtxtVecHash> &I,

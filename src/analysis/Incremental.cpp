@@ -4,38 +4,18 @@
 // Pointer Analysis" (Thiessen & Lhoták, PLDI 2017).
 //
 // The native incremental path lives with the solver it seeds
-// (analysis/Solver.cpp). This file holds the back-end-neutral pieces:
-// the Datalog entry point (a documented full re-solve — the generic
-// engine exposes no per-tuple derivation order to invalidate against)
-// and the Results -> warm-start snapshot re-encoder the transactional
-// commit path promotes after certification.
+// (analysis/Solver.cpp). This file holds the Results -> warm-start
+// snapshot re-encoder the transactional commit path promotes after
+// certification.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Incremental.h"
 
-#include "analysis/DatalogFrontend.h"
-
 #include <cassert>
 
 using namespace ctp;
 using namespace ctp::analysis;
-
-IncrementalOutcome analysis::resolveIncrementalViaDatalog(
-    const facts::FactDB &NewDB, const ctx::Config &Cfg, const Results &Prev,
-    const InputDelta &D, const IncrementalOptions &Opts) {
-  (void)Prev;
-  (void)D;
-  IncrementalOutcome Out;
-  DatalogSolveOptions DO;
-  DO.Budget = Opts.Solver.Budget;
-  Out.R = solveViaDatalog(NewDB, Cfg, DO);
-  Out.Incremental = false;
-  Out.FallbackReason =
-      "datalog back-end re-solves in full (the generic engine records no "
-      "per-tuple derivation order to invalidate against)";
-  return Out;
-}
 
 SolverSnapshot analysis::snapshotFromResults(const Results &R,
                                              const facts::FactDB &DB) {
@@ -57,48 +37,14 @@ SolverSnapshot analysis::snapshotFromResults(const Results &R,
 
   // Converged: every head sits at its relation's size, so a restore
   // replays all tuples as already-processed and converges immediately.
-  S.Pts.Head = R.Pts.size();
-  for (const PtsFact &F : R.Pts) {
-    S.Pts.Words.push_back(F.Var);
-    S.Pts.Words.push_back(F.Heap);
-    S.Pts.Words.push_back(F.T);
-  }
-  S.Hpts.Head = R.Hpts.size();
-  for (const HptsFact &F : R.Hpts) {
-    S.Hpts.Words.push_back(F.Base);
-    S.Hpts.Words.push_back(F.Field);
-    S.Hpts.Words.push_back(F.Heap);
-    S.Hpts.Words.push_back(F.T);
-  }
-  S.Hload.Head = R.Hload.size();
-  for (const HloadFact &F : R.Hload) {
-    S.Hload.Words.push_back(F.Base);
-    S.Hload.Words.push_back(F.Field);
-    S.Hload.Words.push_back(F.Var);
-    S.Hload.Words.push_back(F.T);
-  }
-  S.Call.Head = R.Call.size();
-  for (const CallFact &F : R.Call) {
-    S.Call.Words.push_back(F.Invoke);
-    S.Call.Words.push_back(F.Method);
-    S.Call.Words.push_back(F.T);
-  }
-  S.Reach.Head = R.Reach.size();
-  for (const ReachFact &F : R.Reach) {
-    S.Reach.Words.push_back(F.Method);
-    S.Reach.Words.push_back(F.CtxtId);
-  }
-  S.Gpts.Head = R.Gpts.size();
-  for (const GptsFact &F : R.Gpts) {
-    S.Gpts.Words.push_back(F.Global);
-    S.Gpts.Words.push_back(F.Heap);
-    S.Gpts.Words.push_back(F.T);
-  }
+  encodeRelations(R.Pts, R.Hpts, R.Hload, R.Call, R.Reach, R.Gpts,
+                  {R.Pts.size(), R.Hpts.size(), R.Hload.size(),
+                   R.Call.size(), R.Reach.size(), R.Gpts.size()},
+                  S);
 
   S.WorkItems = R.Stat.WorkItems;
   S.Derivations = R.Stat.Progress.Derivations;
-  S.Tuples = R.Pts.size() + R.Hpts.size() + R.Hload.size() + R.Call.size() +
-             R.Reach.size() + R.Gpts.size();
+  S.Tuples = R.numTuples();
   S.CollapsedPts = 0;
   S.Term = TerminationReason::Converged;
   S.Progress = R.Stat.Progress;

@@ -6,33 +6,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Re-solving a converged fixpoint after a small edit of the input facts,
-/// instead of from scratch. The native path:
+/// Re-solving a converged fixpoint after an edit of the input facts. The
+/// rules are monotone in their input predicates (Figure 3), so adding
+/// input rows is the one edit a fixpoint can simply continue from:
 ///
-///   - *Additions* keep every previously derived tuple (the rules are
-///     monotone in the input predicates) and merely continue semi-naive
-///     propagation: the surviving relations are replayed checkpoint-style
-///     and the worklists seeded with just the tuples the new rows can
-///     join against.
-///   - *Removals* use the first-derivation provenance graph
-///     (analysis/Provenance.h) DRed-style: one forward scan in node-id
-///     order (premises always precede conclusions) marks every tuple
-///     whose recorded first derivation is grounded — directly or through
-///     a premise — in a removed input row. Survivors' chains ground only
-///     in surviving rows, so survivors are a subset of the new fixpoint;
-///     re-enqueueing the survivors and draining re-derives exactly the
-///     over-deleted remainder.
+///   - *Narrow additions* (rows a rule joins on, as opposed to the
+///     heap_type/implements/subtype/this_var side conditions) keep every
+///     previously derived tuple and its provenance node. The previous
+///     relations are replayed checkpoint-style and semi-naive propagation
+///     continues from just the tuples the new rows can join against.
+///   - *Every other delta* (any removal, or an addition of a side
+///     condition, which can enable rule instances anywhere) re-solves the
+///     edited facts cold, with provenance on so the delta after it can be
+///     incremental again.
 ///
-/// A bounded-damage heuristic falls back to a cold re-solve when the
-/// invalidated frontier exceeds a configurable fraction of the previous
-/// fixpoint — past that point replay costs more than it saves. The
-/// fallback (also taken when the previous run carries no usable
-/// provenance, e.g. after a warm start from a snapshot) is always a cold
-/// solve of the *edited* facts, so the outcome is identical either way;
-/// IncrementalOutcome records which path ran and why.
-///
-/// The Datalog back-end exposes no per-tuple derivation order, so its
-/// entry point documents itself as a full re-solve.
+/// The cold re-solve is also taken when the previous run cannot be
+/// continued (not converged, no complete provenance graph, a different
+/// configuration, a contextless mode). Both paths reach the fixpoint of
+/// the edited facts; IncrementalOutcome records which one ran and why.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,11 +44,13 @@ namespace ctp {
 namespace analysis {
 
 /// The solver-visible summary of one fact edit. The edited FactDB is the
-/// authority; this struct only tells the incremental solver *what
-/// changed* so it can seed (additions) and invalidate (removals)
-/// precisely. Entities are append-only — a delta may introduce new
-/// variables/heaps/methods/... but never retract one, so every id of the
-/// previous run stays valid in the edited database.
+/// authority; this struct only tells the incremental solver which rows to
+/// seed from, or that it must re-solve cold. Entities are append-only — a
+/// delta may introduce new variables/heaps/methods/... but never retract
+/// one, so every id of the previous run stays valid in the edited
+/// database. Entry additions and taint/spawn/sanitizer edits need no
+/// entry here: the solver seeds every entry method itself, and the client
+/// annotations are invisible to it.
 struct InputDelta {
   // Narrow additions: rows already present in the edited FactDB whose
   // consequences can be seeded from one driving join side.
@@ -76,64 +69,10 @@ struct InputDelta {
   std::vector<facts::AssignNewFact> AddAssignNews;
   std::vector<facts::GlobalStoreFact> AddGlobalStores;
   std::vector<facts::GlobalLoadFact> AddGlobalLoads;
-  std::vector<std::uint32_t> AddEntries; ///< new entry-point methods
-  /// heap_type / implements / subtype / this_var additions can enable
-  /// rule instances anywhere (they are side conditions, not join-driven
-  /// premises); they force a full re-enqueue of the survivors.
-  bool WideAdd = false;
-
-  // Removals: rows already erased from the edited FactDB, matched
-  // against the provenance graph to invalidate their consequences.
-  std::vector<facts::AssignFact> RmAssigns;
-  std::vector<facts::CastFact> RmCasts;
-  std::vector<facts::LoadFact> RmLoads;
-  std::vector<facts::StoreFact> RmStores;
-  std::vector<facts::ActualFact> RmActuals;
-  std::vector<facts::FormalFact> RmFormals;
-  std::vector<facts::ReturnFact> RmReturns;
-  std::vector<facts::AssignReturnFact> RmAssignReturns;
-  std::vector<facts::ThrowFact> RmThrows;
-  std::vector<facts::CatchFact> RmCatches;
-  std::vector<facts::VirtualInvokeFact> RmVirtualInvokes;
-  std::vector<facts::StaticInvokeFact> RmStaticInvokes;
-  std::vector<facts::AssignNewFact> RmAssignNews;
-  std::vector<facts::GlobalStoreFact> RmGlobalStores;
-  std::vector<facts::GlobalLoadFact> RmGlobalLoads;
-  std::vector<std::uint32_t> RmEntries; ///< retracted entry-point methods
-  /// heap_type / implements / subtype / this_var removals cannot be
-  /// attributed through the provenance aux words (they are summarized
-  /// side conditions); they force a cold re-solve.
-  bool WideRemove = false;
-
-  /// Taint/spawn/sanitizer annotations changed. Invisible to the solver;
-  /// the caller must recompute its client layers from the edited FactDB.
-  bool ClientFactsChanged = false;
-
-  bool hasRemovals() const {
-    return WideRemove || !RmAssigns.empty() || !RmCasts.empty() ||
-           !RmLoads.empty() || !RmStores.empty() || !RmActuals.empty() ||
-           !RmFormals.empty() || !RmReturns.empty() ||
-           !RmAssignReturns.empty() || !RmThrows.empty() ||
-           !RmCatches.empty() || !RmVirtualInvokes.empty() ||
-           !RmStaticInvokes.empty() || !RmAssignNews.empty() ||
-           !RmGlobalStores.empty() || !RmGlobalLoads.empty() ||
-           !RmEntries.empty();
-  }
-
-  bool hasAdditions() const {
-    return WideAdd || !AddAssigns.empty() || !AddCasts.empty() ||
-           !AddLoads.empty() || !AddStores.empty() || !AddActuals.empty() ||
-           !AddFormals.empty() || !AddReturns.empty() ||
-           !AddAssignReturns.empty() || !AddThrows.empty() ||
-           !AddCatches.empty() || !AddVirtualInvokes.empty() ||
-           !AddStaticInvokes.empty() || !AddAssignNews.empty() ||
-           !AddGlobalStores.empty() || !AddGlobalLoads.empty() ||
-           !AddEntries.empty();
-  }
-
-  /// Anything the fixpoint itself depends on (as opposed to pure
-  /// taint/spawn annotation churn).
-  bool solverVisible() const { return hasAdditions() || hasRemovals(); }
+  /// The delta removes a solver-visible row or adds a heap_type /
+  /// implements / subtype / this_var row: the fixpoint cannot be
+  /// continued, only re-solved.
+  bool NeedsColdSolve = false;
 };
 
 struct IncrementalOptions {
@@ -142,9 +81,6 @@ struct IncrementalOptions {
   /// Checkpoint are ignored — promotion of a post-delta snapshot is the
   /// caller's (transactional) responsibility, never the solver's.
   SolverOptions Solver;
-  /// Fall back to a cold re-solve when more than this fraction of the
-  /// previous fixpoint is invalidated. Negative disables the heuristic.
-  double MaxDamageRatio = 0.5;
 };
 
 struct IncrementalOutcome {
@@ -154,31 +90,23 @@ struct IncrementalOutcome {
   /// the edited facts.
   bool Incremental = false;
   std::string FallbackReason;
-  std::size_t Invalidated = 0; ///< previous tuples torn down (incremental)
-  std::size_t Survivors = 0;   ///< previous tuples replayed (incremental)
+  /// Previous tuples the re-solve did not reuse: 0 when incremental,
+  /// all of them when cold.
+  std::size_t Invalidated = 0;
 };
 
 /// Re-solves after an edit: \p NewDB is the edited database, \p Prev the
 /// converged previous result over the pre-edit database (same \p Cfg),
-/// \p D the edit summary. Never fails: every precondition miss (previous
-/// run not converged, provenance missing/truncated, configuration
-/// mismatch, wide removal, damage budget exceeded) degrades to a cold
-/// re-solve of \p NewDB with the reason recorded.
+/// \p D the edit summary. Never fails: a delta that needs a cold solve,
+/// and every precondition miss (previous run not converged, provenance
+/// missing/truncated, configuration mismatch), re-solves \p NewDB cold
+/// with the reason recorded.
 IncrementalOutcome resolveIncremental(const facts::FactDB &NewDB,
                                       const ctx::Config &Cfg,
                                       const Results &Prev,
                                       const InputDelta &D,
                                       const IncrementalOptions &Opts =
                                           IncrementalOptions());
-
-/// The Datalog back-end counterpart. The generic engine records no
-/// per-tuple derivation order, so this is by construction a full
-/// re-solve of \p NewDB (Incremental == false, FallbackReason explains);
-/// it exists so both back-ends offer the same transactional entry point.
-IncrementalOutcome resolveIncrementalViaDatalog(
-    const facts::FactDB &NewDB, const ctx::Config &Cfg, const Results &Prev,
-    const InputDelta &D, const IncrementalOptions &Opts =
-                             IncrementalOptions());
 
 /// Re-encodes a *converged, non-collapsed* native \p R as a warm-start
 /// snapshot over \p DB (all relation heads at size, fingerprints of

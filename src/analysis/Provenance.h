@@ -38,9 +38,9 @@
 #include "support/Interner.h"
 #include "support/Memory.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace ctp {
@@ -98,10 +98,12 @@ public:
       WasTruncated = true;
       return;
     }
-    std::uint32_t Id = static_cast<std::uint32_t>(Nodes.size());
-    auto [It, Inserted] = Index.emplace(indexKey(Rel, K), Id);
-    if (!Inserted)
+    if (2 * (Nodes.size() + 1) > Slots.size())
+      grow();
+    std::uint32_t &Slot = Slots[slotOf(Rel, K)];
+    if (Slot != InvalidNode)
       return; // Already recorded (first derivation wins).
+    Slot = static_cast<std::uint32_t>(Nodes.size());
     Nodes.push_back({Rel, K, {Rule, Prem0, Prem1, Aux}});
     // The recorder is a big owner too: charge the memory governor one
     // node plus its index entry (approximate; see support/Memory.h).
@@ -109,28 +111,22 @@ public:
         static_cast<std::int64_t>(sizeof(Nodes.back()) + 48));
   }
 
-  /// Imports a node verbatim from another graph (the incremental solver
-  /// replays the surviving prefix of the previous run's graph, with \p E
-  /// already remapped to this graph's ids). \returns the new node id, or
-  /// InvalidNode past the edge cap or on a duplicate fact.
-  std::uint32_t importNode(ProvRel Rel, const FactKey &K, const Edge &E) {
-    if (Nodes.size() >= MaxEdges) {
-      WasTruncated = true;
-      return InvalidNode;
-    }
-    std::uint32_t Id = static_cast<std::uint32_t>(Nodes.size());
-    auto [It, Inserted] = Index.emplace(indexKey(Rel, K), Id);
-    if (!Inserted)
-      return InvalidNode;
-    Nodes.push_back({Rel, K, E});
-    return Id;
+  /// Replaces this graph's nodes with \p Prev's (the incremental solver
+  /// continues the previous run's graph), keeping this graph's edge cap.
+  /// \returns false, changing nothing, when \p Prev exceeds the cap.
+  bool copyNodesFrom(const ProvenanceGraph &Prev) {
+    if (Prev.Nodes.size() > MaxEdges)
+      return false;
+    Nodes = Prev.Nodes;
+    Slots = Prev.Slots;
+    WasTruncated = Prev.WasTruncated;
+    return true;
   }
 
   /// Node id of (\p Rel, \p K), or InvalidNode when it was never recorded
   /// (disabled run, truncated graph, or an axiom of a resumed run).
   std::uint32_t lookup(ProvRel Rel, const FactKey &K) const {
-    auto It = Index.find(indexKey(Rel, K));
-    return It == Index.end() ? InvalidNode : It->second;
+    return Slots.empty() ? InvalidNode : Slots[slotOf(Rel, K)];
   }
 
   std::size_t size() const { return Nodes.size(); }
@@ -154,30 +150,32 @@ private:
     Edge E;
   };
 
-  struct IndexKey {
-    std::uint64_t Hi, Lo;
-    std::uint32_t Rel;
-    bool operator==(const IndexKey &O) const {
-      return Hi == O.Hi && Lo == O.Lo && Rel == O.Rel;
-    }
-  };
-  struct IndexKeyHash {
-    std::size_t operator()(const IndexKey &K) const {
-      return static_cast<std::size_t>(
-          (K.Hi ^ K.Rel) * 0x9e3779b97f4a7c15ULL ^ K.Lo);
-    }
-  };
+  /// The slot of \p Slots holding (\p Rel, \p K)'s node id, or the
+  /// empty slot where it belongs (open addressing, linear probing).
+  std::size_t slotOf(ProvRel Rel, const FactKey &K) const {
+    const std::size_t Mask = Slots.size() - 1;
+    std::size_t S =
+        hashCombine(FactKeyHash()(K), static_cast<std::uint64_t>(Rel)) & Mask;
+    while (Slots[S] != InvalidNode &&
+           (Nodes[Slots[S]].Rel != Rel || Nodes[Slots[S]].Key != K))
+      S = (S + 1) & Mask;
+    return S;
+  }
 
-  static IndexKey indexKey(ProvRel Rel, const FactKey &K) {
-    return {(static_cast<std::uint64_t>(K[0]) << 32) | K[1],
-            (static_cast<std::uint64_t>(K[2]) << 32) | K[3],
-            static_cast<std::uint32_t>(Rel)};
+  /// Doubles the slot table (at least 1024 slots) and re-files every node.
+  void grow() {
+    Slots.assign(std::max<std::size_t>(1024, 2 * Slots.size()),
+                 InvalidNode);
+    for (std::uint32_t Id = 0; Id < Nodes.size(); ++Id)
+      Slots[slotOf(Nodes[Id].Rel, Nodes[Id].Key)] = Id;
   }
 
   std::size_t MaxEdges;
   bool WasTruncated = false;
   std::vector<Node> Nodes;
-  std::unordered_map<IndexKey, std::uint32_t, IndexKeyHash> Index;
+  /// Node ids by (relation, fact), InvalidNode when empty. At most half
+  /// full, so probes stay short.
+  std::vector<std::uint32_t> Slots;
 };
 
 /// Renders the derivation chain of \p Node as indented human-readable

@@ -88,6 +88,12 @@ public:
   std::vector<GptsFact> Gpts;
   Stats Stat;
 
+  /// Tuples across the six derived relations.
+  std::size_t numTuples() const {
+    return Pts.size() + Hpts.size() + Hload.size() + Call.size() +
+           Reach.size() + Gpts.size();
+  }
+
   /// Domain interpreting the TransformIds stored in the relations.
   std::unique_ptr<ctx::Domain> Dom;
   /// Interner for reach-context vectors.

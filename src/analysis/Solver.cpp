@@ -31,61 +31,6 @@ std::uint64_t pairKey(std::uint32_t A, std::uint32_t B) {
   return (static_cast<std::uint64_t>(A) << 32) | B;
 }
 
-std::uint64_t tripleKey(std::uint32_t A, std::uint32_t B, std::uint32_t C) {
-  return hashCombine(hashCombine(mix64(A), B), C);
-}
-
-/// Hashed membership sets of the removed input rows, one per predicate a
-/// provenance edge can ground in. Triples are stored hashed; a collision
-/// can only *over*-invalidate (the true removed row always matches its
-/// own hash), which re-derivation repairs — never under-invalidate.
-struct RemovalSets {
-  std::unordered_set<std::uint32_t> Entries;
-  std::unordered_set<std::uint64_t> Assigns, Casts, Loads, Stores, Actuals,
-      Formals, Returns, AssignReturns, Throws, Catches, VirtualInvokes,
-      StaticInvokes, AssignNews, GlobalStores, GlobalLoads;
-
-  explicit RemovalSets(const analysis::InputDelta &D) {
-    for (std::uint32_t E : D.RmEntries)
-      Entries.insert(E);
-    for (const auto &F : D.RmAssigns)
-      Assigns.insert(pairKey(F.From, F.To));
-    // The cast's filter type is not recoverable from the edge (the aux
-    // word carries the source variable); matching (From, To) alone can
-    // only over-invalidate when two casts share both endpoints.
-    for (const auto &F : D.RmCasts)
-      Casts.insert(pairKey(F.From, F.To));
-    for (const auto &F : D.RmLoads)
-      Loads.insert(tripleKey(F.Base, F.Field, F.To));
-    for (const auto &F : D.RmStores)
-      Stores.insert(tripleKey(F.From, F.Field, F.Base));
-    // Ordinals are likewise summarized away; (Var, Invoke) respectively
-    // (Var, Method) over-approximate multi-ordinal passing of one var.
-    for (const auto &F : D.RmActuals)
-      Actuals.insert(pairKey(F.Var, F.Invoke));
-    for (const auto &F : D.RmFormals)
-      Formals.insert(pairKey(F.Var, F.Method));
-    for (const auto &F : D.RmReturns)
-      Returns.insert(pairKey(F.Var, F.Method));
-    for (const auto &F : D.RmAssignReturns)
-      AssignReturns.insert(pairKey(F.Invoke, F.To));
-    for (const auto &F : D.RmThrows)
-      Throws.insert(pairKey(F.Var, F.Method));
-    for (const auto &F : D.RmCatches)
-      Catches.insert(pairKey(F.Invoke, F.To));
-    for (const auto &F : D.RmVirtualInvokes)
-      VirtualInvokes.insert(pairKey(F.Invoke, F.Receiver));
-    for (const auto &F : D.RmStaticInvokes)
-      StaticInvokes.insert(tripleKey(F.Invoke, F.Target, F.InMethod));
-    for (const auto &F : D.RmAssignNews)
-      AssignNews.insert(tripleKey(F.Heap, F.To, F.InMethod));
-    for (const auto &F : D.RmGlobalStores)
-      GlobalStores.insert(pairKey(F.From, F.Global));
-    for (const auto &F : D.RmGlobalLoads)
-      GlobalLoads.insert(tripleKey(F.Global, F.To, F.InMethod));
-  }
-};
-
 /// The solver state: input indices built once, derived relations with
 /// their join indices, and FIFO worklists per derived relation.
 class Solver {
@@ -150,12 +95,9 @@ public:
       PtsFact F{PW[I], PW[I + 1], PW[I + 2]};
       if (F.Var >= DB.numVars() || F.Heap >= DB.numHeaps() || F.T >= NumT)
         return "snapshot pts relation has out-of-range ids";
-      if (!PtsSet.insert(keyOf(F)).second)
-        return "snapshot pts relation has duplicate tuples";
-      if (Collapse && !collapseInsert(F.Var, F.Heap, F.T))
-        return "snapshot pts relation disagrees with its collapse state";
-      PtsRel.push_back(F);
-      indexPts(F);
+      if (!replay(F))
+        return "snapshot pts relation has duplicate tuples or disagrees "
+               "with its collapse state";
       if (I / 3 >= S.Pts.Head)
         PtsWork.push_back(F);
     }
@@ -175,10 +117,8 @@ public:
       if (F.Base >= DB.numHeaps() || F.Field >= DB.numFields() ||
           F.Heap >= DB.numHeaps() || F.T >= NumT)
         return "snapshot hpts relation has out-of-range ids";
-      if (!HptsSet.insert(keyOf(F)).second)
+      if (!replay(F))
         return "snapshot hpts relation has duplicate tuples";
-      HptsRel.push_back(F);
-      indexHpts(F);
       if (I / 4 >= S.Hpts.Head)
         HptsWork.push_back(F);
     }
@@ -188,10 +128,8 @@ public:
       if (F.Base >= DB.numHeaps() || F.Field >= DB.numFields() ||
           F.Var >= DB.numVars() || F.T >= NumT)
         return "snapshot hload relation has out-of-range ids";
-      if (!HloadSet.insert(keyOf(F)).second)
+      if (!replay(F))
         return "snapshot hload relation has duplicate tuples";
-      HloadRel.push_back(F);
-      indexHload(F);
       if (I / 4 >= S.Hload.Head)
         HloadWork.push_back(F);
     }
@@ -201,10 +139,8 @@ public:
       if (F.Invoke >= DB.numInvokes() || F.Method >= DB.numMethods() ||
           F.T >= NumT)
         return "snapshot call relation has out-of-range ids";
-      if (!CallSet.insert(keyOf(F)).second)
+      if (!replay(F))
         return "snapshot call relation has duplicate tuples";
-      CallRel.push_back(F);
-      indexCall(F);
       if (I / 3 >= S.Call.Head)
         CallWork.push_back(F);
     }
@@ -213,10 +149,8 @@ public:
       ReachFact F{RW[I], RW[I + 1]};
       if (F.Method >= DB.numMethods() || F.CtxtId >= NumCtxt)
         return "snapshot reach relation has out-of-range ids";
-      if (!ReachSet.insert(keyOf(F)).second)
+      if (!replay(F))
         return "snapshot reach relation has duplicate tuples";
-      ReachRel.push_back(F);
-      ReachByMethod[F.Method].push_back(F.CtxtId);
       if (I / 2 >= S.Reach.Head)
         ReachWork.push_back(F);
     }
@@ -226,10 +160,8 @@ public:
       if (F.Global >= DB.numGlobals() || F.Heap >= DB.numHeaps() ||
           F.T >= NumT)
         return "snapshot gpts relation has out-of-range ids";
-      if (!GptsSet.insert(keyOf(F)).second)
+      if (!replay(F))
         return "snapshot gpts relation has duplicate tuples";
-      GptsRel.push_back(F);
-      GptsByGlobal[F.Global].push_back({F.Heap, F.T});
       if (I / 3 >= S.Gpts.Head)
         GptsWork.push_back(F);
     }
@@ -252,15 +184,13 @@ public:
     return {};
   }
 
-  /// Seeds this (fresh) solver with the still-valid part of \p Prev after
-  /// the input edit \p D, so run() only derives what the edit can change.
-  /// \returns an empty string when the incremental path is viable; else
-  /// the fallback reason — the solver is then partially mutated and must
-  /// be discarded in favour of a cold one.
+  /// Seeds this (fresh) solver with \p Prev — every tuple and its
+  /// provenance node — before the narrow additions \p D, so run() only
+  /// derives what the new rows can add. \returns an empty string when
+  /// \p Prev can be continued; else the fallback reason — the solver is
+  /// then partially mutated and must be discarded in favour of a cold one.
   std::string tryIncremental(const analysis::Results &Prev,
-                             const analysis::InputDelta &D,
-                             double MaxDamageRatio, std::size_t &Invalidated,
-                             std::size_t &Survivors) {
+                             const analysis::InputDelta &D) {
     if (Prev.Stat.Term != TerminationReason::Converged)
       return "previous result is not a converged fixpoint";
     if (Collapse || Prev.Stat.CollapsedPts != 0)
@@ -283,21 +213,12 @@ public:
       return "contextless modes (cutshortcut, unify) re-solve from cold";
     if (!Prov)
       return "incremental solve requires provenance recording";
-    if (D.WideRemove)
-      return "removal touches a type/dispatch predicate (heap_type, "
-             "implements, subtype, this_var)";
-
-    const ProvenanceGraph &G = *Prev.Prov;
-    const std::size_t N = G.size();
-    const std::size_t PrevTotal = Prev.Pts.size() + Prev.Hpts.size() +
-                                  Prev.Hload.size() + Prev.Call.size() +
-                                  Prev.Reach.size() + Prev.Gpts.size();
-    if (N != PrevTotal)
+    if (Prev.Prov->size() != Prev.numTuples())
       return "derivation graph does not cover the previous relations";
 
     // Entities are append-only, so every previous id is valid in the new
     // database; importing the interners reproduces the previous
-    // transformation/context ids exactly and survivors keep theirs.
+    // transformation/context ids exactly.
     {
       std::vector<std::uint32_t> W;
       Prev.Dom->exportInterned(W);
@@ -308,201 +229,75 @@ public:
       if (!analysis::decodeCtxtInterner(CW, *ReachCtxts))
         return "reach-context table import failed";
     }
+    // Additions keep every previous derivation (the rules are monotone),
+    // so the previous graph is taken whole and new derivations extend it.
+    if (!Prov->copyNodesFrom(*Prev.Prov))
+      return "previous derivation graph exceeds the provenance capacity";
 
-    // DRed-style invalidation, exact for first derivations: one forward
-    // scan in node-id order (premises always precede their conclusion)
-    // marks every node whose recorded derivation grounds in a removed
-    // input row or in an invalidated premise. Survivors' chains ground
-    // only in surviving rows, so survivors are a subset of the new
-    // fixpoint; over-deletions are re-derived by the drain below.
-    std::vector<char> Invalid(N, 0);
-    std::size_t NumInvalid = 0;
-    if (D.hasRemovals()) {
-      RemovalSets Rm(D);
-      for (std::uint32_t Id = 0; Id < N; ++Id) {
-        const ProvenanceGraph::Edge &E = G.edgeOf(Id);
-        if (E.Prem0 != NoNode &&
-            (E.Prem0 >= Id || Invalid[E.Prem0])) {
-          Invalid[Id] = 1; // >= Id would break well-foundedness; treat
-          ++NumInvalid;    // defensively as invalid (sound: re-derived).
-          continue;
-        }
-        if (E.Prem1 != NoNode && (E.Prem1 >= Id || Invalid[E.Prem1])) {
-          Invalid[Id] = 1;
-          ++NumInvalid;
-          continue;
-        }
-        if (removedInputMatches(G, Id, Rm)) {
-          Invalid[Id] = 1;
-          ++NumInvalid;
-        }
-      }
-    }
-    Invalidated = NumInvalid;
-    Survivors = N - NumInvalid;
-    if (MaxDamageRatio >= 0 && PrevTotal > 0 &&
-        static_cast<double>(NumInvalid) >
-            MaxDamageRatio * static_cast<double>(PrevTotal))
-      return "invalidated frontier (" + std::to_string(NumInvalid) + " of " +
-             std::to_string(PrevTotal) + " tuples) exceeds the damage budget";
+    // Replay the relations checkpoint-style, as already processed.
+    auto ReplayAll = [this](const auto &Rel) {
+      for (const auto &F : Rel)
+        replay(F);
+    };
+    ReplayAll(Prev.Pts);
+    ReplayAll(Prev.Hpts);
+    ReplayAll(Prev.Hload);
+    ReplayAll(Prev.Call);
+    ReplayAll(Prev.Reach);
+    ReplayAll(Prev.Gpts);
 
-    // Replay the survivors checkpoint-style (no rule firing, no meter
-    // charges): dedup sets, relation vectors, and join indices rebuild as
-    // side effects, in the previous insertion order.
-    for (const PtsFact &F : Prev.Pts) {
-      std::uint32_t Node = G.lookup(ProvRel::Pts, keyOf(F));
-      if (Node == NoNode)
-        return "previous pts tuple has no recorded derivation";
-      if (Invalid[Node])
-        continue;
-      PtsSet.insert(keyOf(F));
-      PtsRel.push_back(F);
-      indexPts(F);
-    }
-    for (const HptsFact &F : Prev.Hpts) {
-      std::uint32_t Node = G.lookup(ProvRel::Hpts, keyOf(F));
-      if (Node == NoNode)
-        return "previous hpts tuple has no recorded derivation";
-      if (Invalid[Node])
-        continue;
-      HptsSet.insert(keyOf(F));
-      HptsRel.push_back(F);
-      indexHpts(F);
-    }
-    for (const HloadFact &F : Prev.Hload) {
-      std::uint32_t Node = G.lookup(ProvRel::Hload, keyOf(F));
-      if (Node == NoNode)
-        return "previous hload tuple has no recorded derivation";
-      if (Invalid[Node])
-        continue;
-      HloadSet.insert(keyOf(F));
-      HloadRel.push_back(F);
-      indexHload(F);
-    }
-    for (const CallFact &F : Prev.Call) {
-      std::uint32_t Node = G.lookup(ProvRel::Call, keyOf(F));
-      if (Node == NoNode)
-        return "previous call tuple has no recorded derivation";
-      if (Invalid[Node])
-        continue;
-      CallSet.insert(keyOf(F));
-      CallRel.push_back(F);
-      indexCall(F);
-    }
-    for (const ReachFact &F : Prev.Reach) {
-      std::uint32_t Node = G.lookup(ProvRel::Reach, keyOf(F));
-      if (Node == NoNode)
-        return "previous reach tuple has no recorded derivation";
-      if (Invalid[Node])
-        continue;
-      ReachSet.insert(keyOf(F));
-      ReachRel.push_back(F);
-      ReachByMethod[F.Method].push_back(F.CtxtId);
-    }
-    for (const GptsFact &F : Prev.Gpts) {
-      std::uint32_t Node = G.lookup(ProvRel::Gpts, keyOf(F));
-      if (Node == NoNode)
-        return "previous gpts tuple has no recorded derivation";
-      if (Invalid[Node])
-        continue;
-      GptsSet.insert(keyOf(F));
-      GptsRel.push_back(F);
-      GptsByGlobal[F.Global].push_back({F.Heap, F.T});
-    }
-
-    // Import the surviving derivation edges in node-id order so premise
-    // remaps are always resolved before they are referenced. New
-    // derivations below then extend this graph seamlessly.
-    {
-      std::vector<std::uint32_t> Remap(N, NoNode);
-      for (std::uint32_t Id = 0; Id < N; ++Id) {
-        if (Invalid[Id])
-          continue;
-        ProvenanceGraph::Edge E = G.edgeOf(Id);
-        if (E.Prem0 != NoNode)
-          E.Prem0 = Remap[E.Prem0];
-        if (E.Prem1 != NoNode)
-          E.Prem1 = Remap[E.Prem1];
-        std::uint32_t NewId = Prov->importNode(G.relOf(Id), G.factOf(Id), E);
-        if (NewId == NoNode)
-          return "derivation graph import exceeded the provenance capacity";
-        Remap[Id] = NewId;
-      }
-    }
-
-    if (D.hasRemovals() || D.WideAdd) {
-      // Conservative re-enqueue: every survivor is re-processed so any
-      // over-deleted tuple whose alternative derivation joins two
-      // already-drained survivors is found again. Dedup makes re-firing
-      // cheap (no re-insertion); this still skips the cold solve's
-      // domain/interning work and its from-nothing derivation cascade.
-      for (const PtsFact &F : PtsRel)
-        PtsWork.push_back(F);
-      for (const HptsFact &F : HptsRel)
-        HptsWork.push_back(F);
-      for (const HloadFact &F : HloadRel)
-        HloadWork.push_back(F);
-      for (const CallFact &F : CallRel)
-        CallWork.push_back(F);
-      for (const ReachFact &F : ReachRel)
-        ReachWork.push_back(F);
-      for (const GptsFact &F : GptsRel)
-        GptsWork.push_back(F);
-    } else {
-      // Pure narrow additions: seed only the tuples the new rows can join
-      // against — one driving side per rule suffices because the fire-time
-      // index lookups already see every new input row. (Entry additions
-      // need nothing here: run()'s ENTRY loop seeds them and dedups the
-      // surviving ones.)
-      auto SeedPtsOf = [this](std::uint32_t Var) {
-        PtsByVar.visitAll(Var, [&](JoinIndex::Entry E) {
-          PtsWork.push_back({Var, E.first, E.second});
-        });
-      };
-      for (const auto &F : D.AddAssigns)
-        SeedPtsOf(F.From);
-      for (const auto &F : D.AddCasts)
-        SeedPtsOf(F.From);
-      for (const auto &F : D.AddLoads)
-        SeedPtsOf(F.Base);
-      for (const auto &F : D.AddStores)
-        SeedPtsOf(F.From);
-      for (const auto &F : D.AddActuals)
-        SeedPtsOf(F.Var);
-      for (const auto &F : D.AddReturns)
-        SeedPtsOf(F.Var);
-      for (const auto &F : D.AddThrows)
-        SeedPtsOf(F.Var);
-      for (const auto &F : D.AddVirtualInvokes)
-        SeedPtsOf(F.Receiver);
-      for (const auto &F : D.AddGlobalStores)
-        SeedPtsOf(F.From);
-      auto SeedCallsTo = [this](std::uint32_t Method) {
-        CallByCallee.visitAll(Method, [&](JoinIndex::Entry E) {
-          CallWork.push_back({E.first, Method, E.second});
-        });
-      };
-      auto SeedCallsAt = [this](std::uint32_t Invoke) {
-        CallByInvoke.visitAll(Invoke, [&](JoinIndex::Entry E) {
-          CallWork.push_back({Invoke, E.first, E.second});
-        });
-      };
-      for (const auto &F : D.AddFormals)
-        SeedCallsTo(F.Method);
-      for (const auto &F : D.AddAssignReturns)
-        SeedCallsAt(F.Invoke);
-      for (const auto &F : D.AddCatches)
-        SeedCallsAt(F.Invoke);
-      for (const auto &F : D.AddStaticInvokes)
-        for (std::uint32_t CtxId : ReachByMethod[F.InMethod])
-          ReachWork.push_back({F.InMethod, CtxId});
-      for (const auto &F : D.AddAssignNews)
-        for (std::uint32_t CtxId : ReachByMethod[F.InMethod])
-          ReachWork.push_back({F.InMethod, CtxId});
-      for (const auto &F : D.AddGlobalLoads)
-        for (const auto &[Heap, T] : GptsByGlobal[F.Global])
-          GptsWork.push_back({F.Global, Heap, T});
-    }
+    // Seed only the tuples the new rows can join against — one driving
+    // side per rule suffices because the fire-time index lookups already
+    // see every new input row. (Entry additions need nothing here: run()'s
+    // ENTRY loop seeds them and dedups the surviving ones.)
+    auto SeedPtsOf = [this](std::uint32_t Var) {
+      PtsByVar.visitAll(Var, [&](JoinIndex::Entry E) {
+        PtsWork.push_back({Var, E.first, E.second});
+      });
+    };
+    for (const auto &F : D.AddAssigns)
+      SeedPtsOf(F.From);
+    for (const auto &F : D.AddCasts)
+      SeedPtsOf(F.From);
+    for (const auto &F : D.AddLoads)
+      SeedPtsOf(F.Base);
+    for (const auto &F : D.AddStores)
+      SeedPtsOf(F.From);
+    for (const auto &F : D.AddActuals)
+      SeedPtsOf(F.Var);
+    for (const auto &F : D.AddReturns)
+      SeedPtsOf(F.Var);
+    for (const auto &F : D.AddThrows)
+      SeedPtsOf(F.Var);
+    for (const auto &F : D.AddVirtualInvokes)
+      SeedPtsOf(F.Receiver);
+    for (const auto &F : D.AddGlobalStores)
+      SeedPtsOf(F.From);
+    auto SeedCallsTo = [this](std::uint32_t Method) {
+      CallByCallee.visitAll(Method, [&](JoinIndex::Entry E) {
+        CallWork.push_back({E.first, Method, E.second});
+      });
+    };
+    auto SeedCallsAt = [this](std::uint32_t Invoke) {
+      CallByInvoke.visitAll(Invoke, [&](JoinIndex::Entry E) {
+        CallWork.push_back({Invoke, E.first, E.second});
+      });
+    };
+    for (const auto &F : D.AddFormals)
+      SeedCallsTo(F.Method);
+    for (const auto &F : D.AddAssignReturns)
+      SeedCallsAt(F.Invoke);
+    for (const auto &F : D.AddCatches)
+      SeedCallsAt(F.Invoke);
+    for (const auto &F : D.AddStaticInvokes)
+      for (std::uint32_t CtxId : ReachByMethod[F.InMethod])
+        ReachWork.push_back({F.InMethod, CtxId});
+    for (const auto &F : D.AddAssignNews)
+      for (std::uint32_t CtxId : ReachByMethod[F.InMethod])
+        ReachWork.push_back({F.InMethod, CtxId});
+    for (const auto &F : D.AddGlobalLoads)
+      for (const auto &[Heap, T] : GptsByGlobal[F.Global])
+        GptsWork.push_back({F.Global, Heap, T});
     return {};
   }
 
@@ -817,6 +612,55 @@ private:
     return true;
   }
 
+  // Replay of an already-derived tuple (snapshot restore, incremental
+  // continuation): dedup set, relation vector and join index, in the
+  // previous insertion order, with no rule firing and no meter charge.
+  // The caller enqueues what is still unprocessed. \returns false on a
+  // duplicate (or, for pts in collapse mode, a subsumed tuple).
+  bool replay(const PtsFact &F) {
+    if (!PtsSet.insert(keyOf(F)).second ||
+        (Collapse && !collapseInsert(F.Var, F.Heap, F.T)))
+      return false;
+    PtsRel.push_back(F);
+    indexPts(F);
+    return true;
+  }
+  bool replay(const HptsFact &F) {
+    if (!HptsSet.insert(keyOf(F)).second)
+      return false;
+    HptsRel.push_back(F);
+    indexHpts(F);
+    return true;
+  }
+  bool replay(const HloadFact &F) {
+    if (!HloadSet.insert(keyOf(F)).second)
+      return false;
+    HloadRel.push_back(F);
+    indexHload(F);
+    return true;
+  }
+  bool replay(const CallFact &F) {
+    if (!CallSet.insert(keyOf(F)).second)
+      return false;
+    CallRel.push_back(F);
+    indexCall(F);
+    return true;
+  }
+  bool replay(const ReachFact &F) {
+    if (!ReachSet.insert(keyOf(F)).second)
+      return false;
+    ReachRel.push_back(F);
+    ReachByMethod[F.Method].push_back(F.CtxtId);
+    return true;
+  }
+  bool replay(const GptsFact &F) {
+    if (!GptsSet.insert(keyOf(F)).second)
+      return false;
+    GptsRel.push_back(F);
+    GptsByGlobal[F.Global].push_back({F.Heap, F.T});
+    return true;
+  }
+
   //===--- Checkpointing --------------------------------------------------===//
 
   std::uint64_t totalDerivations() const {
@@ -840,48 +684,14 @@ private:
 
     // Each worklist is the suffix of its insertion-order relation vector,
     // so (rows, processed-count head) is the whole work state.
-    S.Pts.Head = PtsRel.size() - PtsWork.size();
-    for (const PtsFact &F : PtsRel) {
-      S.Pts.Words.push_back(F.Var);
-      S.Pts.Words.push_back(F.Heap);
-      S.Pts.Words.push_back(F.T);
-    }
-    S.Hpts.Head = HptsRel.size() - HptsWork.size();
-    for (const HptsFact &F : HptsRel) {
-      S.Hpts.Words.push_back(F.Base);
-      S.Hpts.Words.push_back(F.Field);
-      S.Hpts.Words.push_back(F.Heap);
-      S.Hpts.Words.push_back(F.T);
-    }
-    S.Hload.Head = HloadRel.size() - HloadWork.size();
-    for (const HloadFact &F : HloadRel) {
-      S.Hload.Words.push_back(F.Base);
-      S.Hload.Words.push_back(F.Field);
-      S.Hload.Words.push_back(F.Var);
-      S.Hload.Words.push_back(F.T);
-    }
-    S.Call.Head = CallRel.size() - CallWork.size();
-    for (const CallFact &F : CallRel) {
-      S.Call.Words.push_back(F.Invoke);
-      S.Call.Words.push_back(F.Method);
-      S.Call.Words.push_back(F.T);
-    }
-    S.Reach.Head = ReachRel.size() - ReachWork.size();
-    for (const ReachFact &F : ReachRel) {
-      S.Reach.Words.push_back(F.Method);
-      S.Reach.Words.push_back(F.CtxtId);
-    }
-    S.Gpts.Head = GptsRel.size() - GptsWork.size();
-    for (const GptsFact &F : GptsRel) {
-      S.Gpts.Words.push_back(F.Global);
-      S.Gpts.Words.push_back(F.Heap);
-      S.Gpts.Words.push_back(F.T);
-    }
-    for (const PtsFact &F : SubsumedAtInsert) {
-      S.SubsumedWords.push_back(F.Var);
-      S.SubsumedWords.push_back(F.Heap);
-      S.SubsumedWords.push_back(F.T);
-    }
+    analysis::encodeRelations(
+        PtsRel, HptsRel, HloadRel, CallRel, ReachRel, GptsRel,
+        {PtsRel.size() - PtsWork.size(), HptsRel.size() - HptsWork.size(),
+         HloadRel.size() - HloadWork.size(), CallRel.size() - CallWork.size(),
+         ReachRel.size() - ReachWork.size(), GptsRel.size() - GptsWork.size()},
+        S);
+    for (const PtsFact &F : SubsumedAtInsert)
+      S.SubsumedWords.insert(S.SubsumedWords.end(), {F.Var, F.Heap, F.T});
 
     S.WorkItems = BaseWorkItems + WorkItems;
     S.Derivations = totalDerivations();
@@ -1303,85 +1113,6 @@ private:
     }
   }
 
-  //===--- Incremental invalidation -----------------------------------------===//
-
-  /// Does the first derivation recorded at \p Id ground in a removed
-  /// input row? Each rule's aux word plus its conclusion and premise
-  /// facts reconstruct the input row the firing consumed (the ProvRule
-  /// doc comments define the aux semantics). A premise the rule requires
-  /// but the edge lacks makes the node conservatively invalid — sound,
-  /// since invalidated tuples are re-derived when still derivable.
-  static bool removedInputMatches(const ProvenanceGraph &G, std::uint32_t Id,
-                                  const RemovalSets &Rm) {
-    constexpr std::uint32_t Invalid = ProvenanceGraph::InvalidNode;
-    const ProvenanceGraph::Edge &E = G.edgeOf(Id);
-    const FactKey &K = G.factOf(Id);
-    switch (E.Rule) {
-    case ProvRule::Entry:
-      return Rm.Entries.count(E.Aux) != 0;
-    case ProvRule::Assign: // pts(Y,H,A) via assign(Z,Y); Aux = Z.
-      return Rm.Assigns.count(pairKey(E.Aux, K[0])) != 0;
-    case ProvRule::Cast: // pts(Y,H,A) via cast(Z,Y,T); Aux = Z.
-      return Rm.Casts.count(pairKey(E.Aux, K[0])) != 0;
-    case ProvRule::Load: // hload(G,Fl,Z,A) via load(Y,Fl,Z); Aux = Y.
-      return Rm.Loads.count(tripleKey(E.Aux, K[1], K[2])) != 0;
-    case ProvRule::Store: // hpts via store(X,Fl,Z); Aux = X, Prem1 = base pts.
-      if (E.Prem1 == Invalid)
-        return true;
-      return Rm.Stores.count(
-                 tripleKey(E.Aux, K[1], G.factOf(E.Prem1)[0])) != 0;
-    case ProvRule::Param: // pts(Y,·) via actual(Z,I,O) + formal(Y,P,O).
-      if (E.Prem0 == Invalid || E.Prem1 == Invalid)
-        return true;
-      return Rm.Actuals.count(pairKey(G.factOf(E.Prem0)[0], E.Aux)) != 0 ||
-             Rm.Formals.count(pairKey(K[0], G.factOf(E.Prem1)[1])) != 0;
-    case ProvRule::Ret: // pts(Y,·) via return(Z,P) + assign_return(I,Y).
-      if (E.Prem0 == Invalid || E.Prem1 == Invalid)
-        return true;
-      return Rm.Returns.count(
-                 pairKey(G.factOf(E.Prem0)[0], G.factOf(E.Prem1)[1])) != 0 ||
-             Rm.AssignReturns.count(pairKey(E.Aux, K[0])) != 0;
-    case ProvRule::Throw: // pts(Y,·) via throw(Z,P) + catch(I,Y).
-      if (E.Prem0 == Invalid || E.Prem1 == Invalid)
-        return true;
-      return Rm.Throws.count(
-                 pairKey(G.factOf(E.Prem0)[0], G.factOf(E.Prem1)[1])) != 0 ||
-             Rm.Catches.count(pairKey(E.Aux, K[0])) != 0;
-    case ProvRule::GStore: // gpts(G,H,·) via global_store(X,G); Aux = X.
-      return Rm.GlobalStores.count(pairKey(E.Aux, K[0])) != 0;
-    case ProvRule::VirtCall:  // via virtual_invoke(I,Z,S); Aux = I,
-    case ProvRule::VirtThis:  // Prem0 = receiver pts(Z,·).
-      if (E.Prem0 == Invalid)
-        return true;
-      return Rm.VirtualInvokes.count(
-                 pairKey(E.Aux, G.factOf(E.Prem0)[0])) != 0;
-    case ProvRule::Ind:   // joins two derived facts; no input row.
-    case ProvRule::Reach: // projection of a derived call; no input row.
-      return false;
-    case ProvRule::Shortcut:
-      // Cutshortcut grounds in the cut plan, which any input edit can
-      // reshape; tryIncremental refuses contextless modes up front, so
-      // this is only defensive.
-      return true;
-    case ProvRule::GLoad: // via global_load(G,Z,P); Aux = G, Prem1 = reach.
-      if (E.Prem1 == Invalid)
-        return true;
-      return Rm.GlobalLoads.count(
-                 tripleKey(E.Aux, K[0], G.factOf(E.Prem1)[0])) != 0;
-    case ProvRule::New: // via assign_new(H,Y,P); Aux = H, Prem0 = reach.
-      if (E.Prem0 == Invalid)
-        return true;
-      return Rm.AssignNews.count(
-                 tripleKey(E.Aux, K[0], G.factOf(E.Prem0)[0])) != 0;
-    case ProvRule::Static: // via static_invoke(I,Q,P); Aux = I.
-      if (E.Prem0 == Invalid)
-        return true;
-      return Rm.StaticInvokes.count(
-                 tripleKey(E.Aux, K[1], G.factOf(E.Prem0)[0])) != 0;
-    }
-    return true; // Unknown rule tag: conservatively invalid.
-  }
-
   //===--- State ----------------------------------------------------------===//
 
   const FactDB &DB;
@@ -1515,31 +1246,31 @@ IncrementalOutcome analysis::resolveIncremental(const FactDB &NewDB,
   assert(NewDB.validate().empty() && "invalid fact database");
   IncrementalOutcome Out;
   SolverOptions SO = Opts.Solver;
-  // Provenance feeds the *next* delta's invalidation; checkpoints and
-  // resumes belong to the caller's transaction, not to the re-solve (a
-  // mid-transaction snapshot write would clobber the previous epoch's
-  // certified warm-start image before this result is certified).
+  // Provenance lets the *next* delta continue from this result;
+  // checkpoints and resumes belong to the caller's transaction, not to the
+  // re-solve (a mid-transaction snapshot write would clobber the previous
+  // epoch's certified warm-start image before this result is certified).
   SO.Provenance.Enabled = true;
   SO.Checkpoint = CheckpointPolicy();
   SO.Resume = nullptr;
-  {
+  if (D.NeedsColdSolve) {
+    Out.FallbackReason = "the delta removes a row or adds a type/dispatch "
+                         "side condition (heap_type, implements, subtype, "
+                         "this_var)";
+  } else {
     Solver S(NewDB, Cfg, SO);
-    std::string Why = S.tryIncremental(Prev, D, Opts.MaxDamageRatio,
-                                       Out.Invalidated, Out.Survivors);
-    if (Why.empty()) {
+    Out.FallbackReason = S.tryIncremental(Prev, D);
+    if (Out.FallbackReason.empty()) {
       Out.R = S.run();
       Out.Incremental = true;
       return Out;
     }
-    Out.FallbackReason = Why;
   }
-  // Cold re-solve of the edited facts — identical fixpoint, just paid in
-  // full. Provenance stays on so the delta after this one can be
-  // incremental again. Routed through solve() so the contextless modes
-  // take their own paths (unify must run over its symmetrized view).
+  // Cold re-solve of the edited facts, with provenance on so the delta
+  // after this one can be incremental again. Routed through solve() so
+  // the contextless modes take their own paths (unify must run over its
+  // symmetrized view).
   Out.R = solve(NewDB, Cfg, SO);
-  Out.Incremental = false;
-  Out.Invalidated = 0;
-  Out.Survivors = 0;
+  Out.Invalidated = Prev.numTuples();
   return Out;
 }

@@ -86,6 +86,24 @@ std::string rmRow(std::vector<T> &Rows, const T &Row, Eq Same,
   return std::string("no such ") + Pred + " row";
 }
 
+/// Adds or removes \p Row and records the edit in \p D: a narrow
+/// addition joins its seed list \p Seeds; a removal, or an addition of a
+/// side-condition predicate (no \p Seeds), needs a cold re-solve.
+template <typename T, typename Eq>
+std::string editRow(bool Add, std::vector<T> &Rows, const T &Row, Eq Same,
+                    const char *Pred, analysis::InputDelta &D,
+                    std::vector<T> *Seeds = nullptr) {
+  if (std::string E = Add ? addRow(Rows, Row, Same, Pred)
+                          : rmRow(Rows, Row, Same, Pred);
+      !E.empty())
+    return E;
+  if (Add && Seeds)
+    Seeds->push_back(Row);
+  else
+    D.NeedsColdSolve = true;
+  return {};
+}
+
 std::string applyEntity(const std::vector<std::string> &T, FactDB &DB) {
   if (T.size() < 4)
     return "usage: add entity <kind> <name> [<parent>]";
@@ -197,27 +215,14 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     Id M;
     if (auto E = resolve(DB.MethodNames, T[2], "method", M); !E.empty())
       return E;
-    auto Same = [M](Id A) { return A == M; };
-    if (Add) {
-      for (Id E : DB.EntryMethods)
-        if (Same(E))
-          return "duplicate entry row";
-      DB.EntryMethods.push_back(M);
-      D.AddEntries.push_back(M);
-    } else {
-      bool Found = false;
-      for (auto It = DB.EntryMethods.begin(); It != DB.EntryMethods.end();
-           ++It)
-        if (Same(*It)) {
-          DB.EntryMethods.erase(It);
-          Found = true;
-          break;
-        }
-      if (!Found)
-        return "no such entry row";
-      D.RmEntries.push_back(M);
-    }
-    return {};
+    auto Same = [](Id A, Id B) { return A == B; };
+    std::string E = Add ? addRow(DB.EntryMethods, M, Same, "entry")
+                        : rmRow(DB.EntryMethods, M, Same, "entry");
+    // The solver seeds every entry method itself; only a removal cannot
+    // be continued from.
+    if (E.empty() && !Add)
+      D.NeedsColdSolve = true;
+    return E;
   }
 
   if (Pred == "assign") {
@@ -231,16 +236,7 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     auto Same = [](const facts::AssignFact &A, const facts::AssignFact &B) {
       return A.From == B.From && A.To == B.To;
     };
-    if (Add) {
-      if (auto E = addRow(DB.Assigns, F, Same, "assign"); !E.empty())
-        return E;
-      D.AddAssigns.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Assigns, F, Same, "assign"); !E.empty())
-        return E;
-      D.RmAssigns.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.Assigns, F, Same, "assign", D, &D.AddAssigns);
   }
 
   if (Pred == "assign_new") {
@@ -258,16 +254,8 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
                    const facts::AssignNewFact &B) {
       return A.Heap == B.Heap && A.To == B.To && A.InMethod == B.InMethod;
     };
-    if (Add) {
-      if (auto E = addRow(DB.AssignNews, F, Same, "assign_new"); !E.empty())
-        return E;
-      D.AddAssignNews.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.AssignNews, F, Same, "assign_new"); !E.empty())
-        return E;
-      D.RmAssignNews.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.AssignNews, F, Same, "assign_new", D,
+                   &D.AddAssignNews);
   }
 
   if (Pred == "assign_return") {
@@ -283,18 +271,8 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
                    const facts::AssignReturnFact &B) {
       return A.Invoke == B.Invoke && A.To == B.To;
     };
-    if (Add) {
-      if (auto E = addRow(DB.AssignReturns, F, Same, "assign_return");
-          !E.empty())
-        return E;
-      D.AddAssignReturns.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.AssignReturns, F, Same, "assign_return");
-          !E.empty())
-        return E;
-      D.RmAssignReturns.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.AssignReturns, F, Same, "assign_return", D,
+                   &D.AddAssignReturns);
   }
 
   if (Pred == "actual") {
@@ -311,16 +289,7 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     auto Same = [](const facts::ActualFact &A, const facts::ActualFact &B) {
       return A.Var == B.Var && A.Invoke == B.Invoke && A.Ordinal == B.Ordinal;
     };
-    if (Add) {
-      if (auto E = addRow(DB.Actuals, F, Same, "actual"); !E.empty())
-        return E;
-      D.AddActuals.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Actuals, F, Same, "actual"); !E.empty())
-        return E;
-      D.RmActuals.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.Actuals, F, Same, "actual", D, &D.AddActuals);
   }
 
   if (Pred == "formal") {
@@ -337,16 +306,7 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     auto Same = [](const facts::FormalFact &A, const facts::FormalFact &B) {
       return A.Var == B.Var && A.Method == B.Method && A.Ordinal == B.Ordinal;
     };
-    if (Add) {
-      if (auto E = addRow(DB.Formals, F, Same, "formal"); !E.empty())
-        return E;
-      D.AddFormals.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Formals, F, Same, "formal"); !E.empty())
-        return E;
-      D.RmFormals.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.Formals, F, Same, "formal", D, &D.AddFormals);
   }
 
   if (Pred == "heap_type") {
@@ -360,16 +320,7 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     auto Same = [](const facts::HeapTypeFact &A, const facts::HeapTypeFact &B) {
       return A.Heap == B.Heap && A.Type == B.Type;
     };
-    if (Add) {
-      if (auto E = addRow(DB.HeapTypes, F, Same, "heap_type"); !E.empty())
-        return E;
-      D.WideAdd = true;
-    } else {
-      if (auto E = rmRow(DB.HeapTypes, F, Same, "heap_type"); !E.empty())
-        return E;
-      D.WideRemove = true;
-    }
-    return {};
+    return editRow(Add, DB.HeapTypes, F, Same, "heap_type", D);
   }
 
   if (Pred == "implements") {
@@ -398,16 +349,7 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
                    const facts::ImplementsFact &B) {
       return A.Method == B.Method && A.Type == B.Type && A.Sig == B.Sig;
     };
-    if (Add) {
-      if (auto E = addRow(DB.Implements, F, Same, "implements"); !E.empty())
-        return E;
-      D.WideAdd = true;
-    } else {
-      if (auto E = rmRow(DB.Implements, F, Same, "implements"); !E.empty())
-        return E;
-      D.WideRemove = true;
-    }
-    return {};
+    return editRow(Add, DB.Implements, F, Same, "implements", D);
   }
 
   if (Pred == "load") {
@@ -423,16 +365,7 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     auto Same = [](const facts::LoadFact &A, const facts::LoadFact &B) {
       return A.Base == B.Base && A.Field == B.Field && A.To == B.To;
     };
-    if (Add) {
-      if (auto E = addRow(DB.Loads, F, Same, "load"); !E.empty())
-        return E;
-      D.AddLoads.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Loads, F, Same, "load"); !E.empty())
-        return E;
-      D.RmLoads.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.Loads, F, Same, "load", D, &D.AddLoads);
   }
 
   if (Pred == "return") {
@@ -447,16 +380,7 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     auto Same = [](const facts::ReturnFact &A, const facts::ReturnFact &B) {
       return A.Var == B.Var && A.Method == B.Method;
     };
-    if (Add) {
-      if (auto E = addRow(DB.Returns, F, Same, "return"); !E.empty())
-        return E;
-      D.AddReturns.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Returns, F, Same, "return"); !E.empty())
-        return E;
-      D.RmReturns.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.Returns, F, Same, "return", D, &D.AddReturns);
   }
 
   if (Pred == "static_invoke") {
@@ -477,18 +401,8 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
       return A.Invoke == B.Invoke && A.Target == B.Target &&
              A.InMethod == B.InMethod;
     };
-    if (Add) {
-      if (auto E = addRow(DB.StaticInvokes, F, Same, "static_invoke");
-          !E.empty())
-        return E;
-      D.AddStaticInvokes.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.StaticInvokes, F, Same, "static_invoke");
-          !E.empty())
-        return E;
-      D.RmStaticInvokes.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.StaticInvokes, F, Same, "static_invoke", D,
+                   &D.AddStaticInvokes);
   }
 
   if (Pred == "store") {
@@ -504,16 +418,7 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     auto Same = [](const facts::StoreFact &A, const facts::StoreFact &B) {
       return A.From == B.From && A.Field == B.Field && A.Base == B.Base;
     };
-    if (Add) {
-      if (auto E = addRow(DB.Stores, F, Same, "store"); !E.empty())
-        return E;
-      D.AddStores.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Stores, F, Same, "store"); !E.empty())
-        return E;
-      D.RmStores.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.Stores, F, Same, "store", D, &D.AddStores);
   }
 
   if (Pred == "this_var") {
@@ -528,21 +433,13 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     auto Same = [](const facts::ThisVarFact &A, const facts::ThisVarFact &B) {
       return A.Var == B.Var && A.Method == B.Method;
     };
-    if (Add) {
-      if (auto E = addRow(DB.ThisVars, F, Same, "this_var"); !E.empty())
-        return E;
-      D.WideAdd = true;
-    } else {
-      // A dispatch target must keep its `this` variable (see implements).
+    // A dispatch target must keep its `this` variable (see implements).
+    if (!Add)
       for (const auto &Im : DB.Implements)
         if (Im.Method == F.Method)
           return "method '" + T[3] + "' is a dispatch target (implements "
                  "row); remove those rows first";
-      if (auto E = rmRow(DB.ThisVars, F, Same, "this_var"); !E.empty())
-        return E;
-      D.WideRemove = true;
-    }
-    return {};
+    return editRow(Add, DB.ThisVars, F, Same, "this_var", D);
   }
 
   if (Pred == "virtual_invoke") {
@@ -562,18 +459,8 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
       return A.Invoke == B.Invoke && A.Receiver == B.Receiver &&
              A.Sig == B.Sig;
     };
-    if (Add) {
-      if (auto E = addRow(DB.VirtualInvokes, F, Same, "virtual_invoke");
-          !E.empty())
-        return E;
-      D.AddVirtualInvokes.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.VirtualInvokes, F, Same, "virtual_invoke");
-          !E.empty())
-        return E;
-      D.RmVirtualInvokes.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.VirtualInvokes, F, Same, "virtual_invoke", D,
+                   &D.AddVirtualInvokes);
   }
 
   if (Pred == "global_store") {
@@ -589,18 +476,8 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
                    const facts::GlobalStoreFact &B) {
       return A.From == B.From && A.Global == B.Global;
     };
-    if (Add) {
-      if (auto E = addRow(DB.GlobalStores, F, Same, "global_store");
-          !E.empty())
-        return E;
-      D.AddGlobalStores.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.GlobalStores, F, Same, "global_store");
-          !E.empty())
-        return E;
-      D.RmGlobalStores.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.GlobalStores, F, Same, "global_store", D,
+                   &D.AddGlobalStores);
   }
 
   if (Pred == "global_load") {
@@ -619,16 +496,8 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
                    const facts::GlobalLoadFact &B) {
       return A.Global == B.Global && A.To == B.To && A.InMethod == B.InMethod;
     };
-    if (Add) {
-      if (auto E = addRow(DB.GlobalLoads, F, Same, "global_load"); !E.empty())
-        return E;
-      D.AddGlobalLoads.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.GlobalLoads, F, Same, "global_load"); !E.empty())
-        return E;
-      D.RmGlobalLoads.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.GlobalLoads, F, Same, "global_load", D,
+                   &D.AddGlobalLoads);
   }
 
   if (Pred == "throw") {
@@ -643,16 +512,7 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     auto Same = [](const facts::ThrowFact &A, const facts::ThrowFact &B) {
       return A.Var == B.Var && A.Method == B.Method;
     };
-    if (Add) {
-      if (auto E = addRow(DB.Throws, F, Same, "throw"); !E.empty())
-        return E;
-      D.AddThrows.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Throws, F, Same, "throw"); !E.empty())
-        return E;
-      D.RmThrows.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.Throws, F, Same, "throw", D, &D.AddThrows);
   }
 
   if (Pred == "catch") {
@@ -667,16 +527,7 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     auto Same = [](const facts::CatchFact &A, const facts::CatchFact &B) {
       return A.Invoke == B.Invoke && A.To == B.To;
     };
-    if (Add) {
-      if (auto E = addRow(DB.Catches, F, Same, "catch"); !E.empty())
-        return E;
-      D.AddCatches.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Catches, F, Same, "catch"); !E.empty())
-        return E;
-      D.RmCatches.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.Catches, F, Same, "catch", D, &D.AddCatches);
   }
 
   if (Pred == "cast") {
@@ -692,16 +543,7 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     auto Same = [](const facts::CastFact &A, const facts::CastFact &B) {
       return A.From == B.From && A.To == B.To && A.Type == B.Type;
     };
-    if (Add) {
-      if (auto E = addRow(DB.Casts, F, Same, "cast"); !E.empty())
-        return E;
-      D.AddCasts.push_back(F);
-    } else {
-      if (auto E = rmRow(DB.Casts, F, Same, "cast"); !E.empty())
-        return E;
-      D.RmCasts.push_back(F);
-    }
-    return {};
+    return editRow(Add, DB.Casts, F, Same, "cast", D, &D.AddCasts);
   }
 
   if (Pred == "subtype") {
@@ -715,16 +557,7 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     auto Same = [](const facts::SubtypeFact &A, const facts::SubtypeFact &B) {
       return A.Sub == B.Sub && A.Super == B.Super;
     };
-    if (Add) {
-      if (auto E = addRow(DB.Subtypes, F, Same, "subtype"); !E.empty())
-        return E;
-      D.WideAdd = true;
-    } else {
-      if (auto E = rmRow(DB.Subtypes, F, Same, "subtype"); !E.empty())
-        return E;
-      D.WideRemove = true;
-    }
-    return {};
+    return editRow(Add, DB.Subtypes, F, Same, "subtype", D);
   }
 
   if (Pred == "spawn") {
@@ -737,12 +570,8 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
     auto Same = [](const facts::SpawnFact &A, const facts::SpawnFact &B) {
       return A.Invoke == B.Invoke;
     };
-    std::string E = Add ? addRow(DB.Spawns, F, Same, "spawn")
-                        : rmRow(DB.Spawns, F, Same, "spawn");
-    if (!E.empty())
-      return E;
-    D.ClientFactsChanged = true;
-    return {};
+    return Add ? addRow(DB.Spawns, F, Same, "spawn")
+               : rmRow(DB.Spawns, F, Same, "spawn");
   }
 
   if (Pred == "taint_source" || Pred == "taint_sink") {
@@ -770,23 +599,17 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
                      const facts::TaintSourceFact &B) {
         return A.IsField == B.IsField && A.Entity == B.Entity;
       };
-      std::string E = Add ? addRow(DB.TaintSources, F, Same, "taint_source")
-                          : rmRow(DB.TaintSources, F, Same, "taint_source");
-      if (!E.empty())
-        return E;
+      return Add ? addRow(DB.TaintSources, F, Same, "taint_source")
+                 : rmRow(DB.TaintSources, F, Same, "taint_source");
     } else {
       facts::TaintSinkFact F{IsField, Entity};
       auto Same = [](const facts::TaintSinkFact &A,
                      const facts::TaintSinkFact &B) {
         return A.IsField == B.IsField && A.Entity == B.Entity;
       };
-      std::string E = Add ? addRow(DB.TaintSinks, F, Same, "taint_sink")
-                          : rmRow(DB.TaintSinks, F, Same, "taint_sink");
-      if (!E.empty())
-        return E;
+      return Add ? addRow(DB.TaintSinks, F, Same, "taint_sink")
+                 : rmRow(DB.TaintSinks, F, Same, "taint_sink");
     }
-    D.ClientFactsChanged = true;
-    return {};
   }
 
   if (Pred == "sanitizer") {
@@ -800,12 +623,8 @@ std::string serve::applyDeltaOp(const std::string &Line, FactDB &DB,
                    const facts::SanitizerFact &B) {
       return A.Invoke == B.Invoke;
     };
-    std::string E = Add ? addRow(DB.Sanitizers, F, Same, "sanitizer")
-                        : rmRow(DB.Sanitizers, F, Same, "sanitizer");
-    if (!E.empty())
-      return E;
-    D.ClientFactsChanged = true;
-    return {};
+    return Add ? addRow(DB.Sanitizers, F, Same, "sanitizer")
+               : rmRow(DB.Sanitizers, F, Same, "sanitizer");
   }
 
   return "unknown predicate '" + Pred + "'";

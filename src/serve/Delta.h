@@ -18,20 +18,20 @@
 ///   add|rm assign_return <invoke> <to>
 ///   add|rm actual <var> <invoke> <ordinal>
 ///   add|rm formal <var> <method> <ordinal>
-///   add|rm heap_type <heap> <type>               (wide: see below)
-///   add|rm implements <method> <type> <sig>      (wide)
+///   add|rm heap_type <heap> <type>               (side condition)
+///   add|rm implements <method> <type> <sig>      (side condition)
 ///   add|rm load <base> <field> <to>
 ///   add|rm return <var> <method>
 ///   add|rm static_invoke <invoke> <target> <in-method>
 ///   add|rm store <from> <field> <base>
-///   add|rm this_var <var> <method>               (wide)
+///   add|rm this_var <var> <method>               (side condition)
 ///   add|rm virtual_invoke <invoke> <receiver> <sig>
 ///   add|rm global_store <from> <global>
 ///   add|rm global_load <global> <to> <in-method>
 ///   add|rm throw <var> <method>
 ///   add|rm catch <invoke> <to>
 ///   add|rm cast <from> <to> <type>
-///   add|rm subtype <sub> <super>                 (wide)
+///   add|rm subtype <sub> <super>                 (side condition)
 ///   add|rm spawn <invoke>
 ///   add|rm taint_source invoke|field <name>
 ///   add|rm taint_sink invoke|field <name>
@@ -47,10 +47,12 @@
 /// hand edit of the TSV file would produce. Entities are append-only:
 /// ids stay stable across every transaction, so `rm entity` does not
 /// exist. Ops apply immediately to the staged FactDB and accumulate the
-/// solver-visible summary in an analysis::InputDelta; "wide" predicates
-/// (side conditions the provenance graph summarizes away) set the
-/// WideAdd/WideRemove flags that steer the incremental solver toward its
-/// conservative paths.
+/// solver-visible summary in an analysis::InputDelta: a narrow addition
+/// is listed as a row the incremental solver seeds from; any removal of a
+/// solver-visible row, and any addition of a side condition (which can
+/// enable rule instances anywhere), sets NeedsColdSolve instead. Entry
+/// additions and the client annotations (spawn, taint_*, sanitizer)
+/// leave the summary unchanged.
 ///
 //===----------------------------------------------------------------------===//
 

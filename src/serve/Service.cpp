@@ -543,9 +543,10 @@ Response Service::commitTxn(const Request &Q) {
     return abortTxn(Q, "staged facts failed validation: " + E,
                     StatusTxnAborted);
 
-  // Re-solve the serving cell over the staged facts. Incremental when
-  // the live result's provenance covers it; a cold solve (with
-  // provenance, so the *next* commit can be incremental) otherwise.
+  // Re-solve the serving cell over the staged facts. Incremental for
+  // narrow additions when the live result's provenance covers it; a cold
+  // solve (with provenance, so the *next* commit can be incremental)
+  // otherwise.
   analysis::IncrementalOptions IOpts;
   IOpts.Solver.CollapseSubsumedPts = false;
   analysis::IncrementalOutcome Out =
@@ -627,11 +628,7 @@ Response Service::commitTxn(const Request &Q) {
     Epoch.store(NewEpoch, std::memory_order_relaxed);
   }
 
-  std::string How =
-      Out.Incremental
-          ? "incremental invalidated=" + std::to_string(Out.Invalidated) +
-                " survivors=" + std::to_string(Out.Survivors)
-          : "full";
+  const std::string How = Out.Incremental ? "incremental" : "full";
   LastTxnNote = Txn->Id + " committed epoch=" + std::to_string(NewEpoch) +
                 " " + How;
   note(LastTxnNote);

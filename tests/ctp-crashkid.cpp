@@ -99,7 +99,7 @@ int main(int argc, char **argv) {
     volatile std::uint64_t Sink = 0;
     while (true) {
       for (std::uint64_t I = 0; I < 100000; ++I)
-        Sink += I * I;
+        Sink = Sink + I * I;
       ctp::heartbeat::onPoll();
     }
   }

@@ -4,16 +4,16 @@
 // Pointer Analysis" (Thiessen & Lhoták, PLDI 2017).
 //
 // Unit coverage for transactional incremental re-solve: the fact-delta
-// language (exact-edit semantics, entity append-only rule, wide-predicate
-// flags), the incremental solver's equivalence with a cold solve of the
-// edited facts (additions, provenance-based removal invalidation, the
-// damage-budget and wide fallbacks, the Datalog full-re-solve entry
-// point), the crash-safe journal (checksummed records, torn-tail
-// truncation, committed-transaction folding, recovery aborts, journal
-// discard on fingerprint mismatch), and the in-process service
-// transaction verbs (epoch publication, abort byte-identity, guard
-// rails, sabotaged certification). The out-of-process SIGKILL loop lives
-// in crashloop.sh --delta (ctest: delta_chaos).
+// language (exact-edit semantics, entity append-only rule, the cold-solve
+// flag), the re-solve's equivalence with a cold solve of the edited facts
+// (narrow additions continue, every other delta re-solves cold and keeps
+// provenance so the next addition continues again), the crash-safe
+// journal (checksummed records, torn-tail truncation,
+// committed-transaction folding, recovery aborts, journal discard on
+// fingerprint mismatch), and the in-process service transaction verbs
+// (epoch publication, commit bodies, abort byte-identity, guard rails,
+// sabotaged certification). The out-of-process SIGKILL loop lives in
+// crashloop.sh --delta (ctest: delta_chaos).
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +29,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -110,9 +111,10 @@ TEST(DeltaLanguage, AddThenRemoveRestoresTheDatabase) {
   EXPECT_EQ(DB.Assigns.size(), N0 + 1);
   ASSERT_EQ(D.AddAssigns.size(), 1u);
   EXPECT_NE(DB.fingerprint(), Fp0);
+  EXPECT_FALSE(D.NeedsColdSolve);
   EXPECT_EQ(applyDeltaOp("rm assign " + Args, DB, D), "");
   EXPECT_EQ(DB.Assigns.size(), N0);
-  ASSERT_EQ(D.RmAssigns.size(), 1u);
+  EXPECT_TRUE(D.NeedsColdSolve);
   EXPECT_EQ(DB.fingerprint(), Fp0);
   EXPECT_EQ(DB.validate(), "");
 }
@@ -134,7 +136,8 @@ TEST(DeltaLanguage, ExactEditSemanticsRejectNoOps) {
   EXPECT_NE(applyDeltaOp("", DB, D), "");
   // All-or-nothing: nothing above touched the database or the summary.
   EXPECT_EQ(DB.fingerprint(), Fp0);
-  EXPECT_FALSE(D.solverVisible());
+  EXPECT_TRUE(D.AddAssigns.empty());
+  EXPECT_FALSE(D.NeedsColdSolve);
 }
 
 TEST(DeltaLanguage, EntitiesAreAppendOnly) {
@@ -158,25 +161,35 @@ TEST(DeltaLanguage, EntitiesAreAppendOnly) {
   EXPECT_EQ(DB.validate(), "");
 }
 
-TEST(DeltaLanguage, WidePredicatesRaiseTheConservativeFlags) {
-  facts::FactDB DB = baseDB();
-  analysis::InputDelta D;
-  ASSERT_FALSE(DB.HeapTypes.empty());
-  const auto &HT = DB.HeapTypes.front();
-  std::string Args =
-      DB.HeapNames[HT.Heap] + " " + DB.TypeNames[HT.Type];
-  EXPECT_FALSE(D.WideRemove);
-  EXPECT_EQ(applyDeltaOp("rm heap_type " + Args, DB, D), "");
-  EXPECT_TRUE(D.WideRemove);
-  EXPECT_EQ(applyDeltaOp("add heap_type " + Args, DB, D), "");
-  EXPECT_TRUE(D.WideAdd);
-  // Taint annotations are solver-invisible but flag the client layer.
-  EXPECT_FALSE(D.ClientFactsChanged);
-  ASSERT_FALSE(DB.InvokeNames.empty());
-  EXPECT_EQ(applyDeltaOp("add sanitizer " + DB.InvokeNames[0], DB, D),
-            "");
-  EXPECT_TRUE(D.ClientFactsChanged);
-  EXPECT_FALSE(D.solverVisible() && !D.WideAdd && !D.WideRemove);
+TEST(DeltaLanguage, SideConditionsAndRemovalsNeedAColdSolve) {
+  const facts::FactDB &Base = baseDB();
+  ASSERT_FALSE(Base.HeapTypes.empty());
+  ASSERT_FALSE(Base.InvokeNames.empty());
+  ASSERT_FALSE(Base.EntryMethods.empty());
+  const auto &HT = Base.HeapTypes.front();
+  const std::string HeapType =
+      Base.HeapNames[HT.Heap] + " " + Base.TypeNames[HT.Type];
+  const std::string Entry = Base.MethodNames[Base.EntryMethods.front()];
+  struct Case {
+    std::vector<std::string> Ops;
+    bool Cold;
+  };
+  const std::vector<Case> Cases = {
+      {{"rm heap_type " + HeapType}, true},
+      {{"rm heap_type " + HeapType, "add heap_type " + HeapType}, true},
+      {{"rm entry " + Entry}, true},
+      {{"rm entry " + Entry, "add entry " + Entry}, true},
+      // Client annotations are invisible to the solver.
+      {{"add sanitizer " + Base.InvokeNames[0]}, false},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Ops.back());
+    facts::FactDB DB = Base;
+    analysis::InputDelta D;
+    ASSERT_EQ(applyDeltaOps(C.Ops, DB, D), "");
+    EXPECT_EQ(D.NeedsColdSolve, C.Cold);
+    EXPECT_TRUE(D.AddAssigns.empty());
+  }
 }
 
 TEST(DeltaLanguage, OpListsStopAtTheFirstFailure) {
@@ -210,54 +223,16 @@ const analysis::Results &convergedBase() {
 }
 
 /// Requires the outcome to serialize exactly like a cold solve of the
-/// edited database.
+/// edited database, and to certify under closure and support.
 void expectColdEquivalent(const facts::FactDB &Edited,
-                          const analysis::IncrementalOutcome &Out) {
+                          analysis::IncrementalOutcome &Out) {
   ASSERT_EQ(Out.R.Stat.Term, TerminationReason::Converged);
   analysis::Results Cold = analysis::solve(Edited, config());
   std::string CE;
   EXPECT_TRUE(verify::diffLines(verify::canonicalLines(Edited, Cold),
                                 "cold", verify::canonicalLines(Edited, Out.R),
-                                "incremental", CE))
+                                "re-solve", CE))
       << CE;
-}
-
-} // namespace
-
-TEST(IncrementalSolve, AdditionContinuesToTheColdFixpoint) {
-  facts::FactDB Edited = baseDB();
-  analysis::InputDelta D;
-  ASSERT_EQ(applyDeltaOp("add assign " + freshAssignArgs(), Edited, D), "");
-  analysis::IncrementalOutcome Out =
-      analysis::resolveIncremental(Edited, config(), convergedBase(), D);
-  EXPECT_TRUE(Out.Incremental) << Out.FallbackReason;
-  expectColdEquivalent(Edited, Out);
-}
-
-TEST(IncrementalSolve, RemovalInvalidatesAndRederives) {
-  facts::FactDB Edited = baseDB();
-  analysis::InputDelta D;
-  ASSERT_EQ(applyDeltaOp("rm assign " + existingAssignArgs(), Edited, D),
-            "");
-  analysis::IncrementalOptions IO;
-  IO.MaxDamageRatio = -1.0; // Never bail to cold: exercise DRed itself.
-  analysis::IncrementalOutcome Out = analysis::resolveIncremental(
-      Edited, config(), convergedBase(), D, IO);
-  EXPECT_TRUE(Out.Incremental) << Out.FallbackReason;
-  expectColdEquivalent(Edited, Out);
-}
-
-TEST(IncrementalSolve, ResultRecertifiesUnderClosureAndSupport) {
-  facts::FactDB Edited = baseDB();
-  analysis::InputDelta D;
-  ASSERT_EQ(applyDeltaOp("add assign " + freshAssignArgs(), Edited, D), "");
-  ASSERT_EQ(applyDeltaOp("rm assign " + existingAssignArgs(), Edited, D),
-            "");
-  analysis::IncrementalOptions IO;
-  IO.MaxDamageRatio = -1.0;
-  analysis::IncrementalOutcome Out = analysis::resolveIncremental(
-      Edited, config(), convergedBase(), D, IO);
-  std::string CE;
   EXPECT_TRUE(verify::checkClosure(Edited, Out.R, verify::ClosureOptions(),
                                    CE))
       << CE;
@@ -265,46 +240,68 @@ TEST(IncrementalSolve, ResultRecertifiesUnderClosureAndSupport) {
   EXPECT_TRUE(verify::checkSupport(Edited, Out.R, CE)) << CE;
 }
 
-TEST(IncrementalSolve, WideRemovalFallsBackToAColdSolve) {
-  facts::FactDB Edited = baseDB();
-  analysis::InputDelta D;
-  ASSERT_FALSE(Edited.HeapTypes.empty());
-  const auto HT = Edited.HeapTypes.front();
-  ASSERT_EQ(applyDeltaOp("rm heap_type " + Edited.HeapNames[HT.Heap] +
-                             " " + Edited.TypeNames[HT.Type],
-                         Edited, D),
-            "");
+} // namespace
+
+TEST(IncrementalSolve, OnlyNarrowAdditionsContinue) {
+  const facts::FactDB &Base = baseDB();
+  // The first proper (non-reflexive) subtype row.
+  auto ST = std::find_if(Base.Subtypes.begin(), Base.Subtypes.end(),
+                         [](const auto &F) { return F.Sub != F.Super; });
+  ASSERT_NE(ST, Base.Subtypes.end());
+  auto HasSubtype = [&Base](facts::Id Sub, facts::Id Super) {
+    for (const auto &F : Base.Subtypes)
+      if (F.Sub == Sub && F.Super == Super)
+        return true;
+    return false;
+  };
+  const facts::Id Sub = ST->Super, Super = ST->Sub; // The reversed pair.
+  ASSERT_FALSE(HasSubtype(Sub, Super));
+  struct Case {
+    std::string Op;
+    bool Incremental;
+  };
+  const std::vector<Case> Cases = {
+      {"add assign " + freshAssignArgs(), true},
+      {"rm assign " + existingAssignArgs(), false},
+      {"add subtype " + Base.TypeNames[Sub] + " " + Base.TypeNames[Super],
+       false},
+      {"rm subtype " + Base.TypeNames[ST->Sub] + " " +
+           Base.TypeNames[ST->Super],
+       false},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Op);
+    facts::FactDB Edited = Base;
+    analysis::InputDelta D;
+    ASSERT_EQ(applyDeltaOp(C.Op, Edited, D), "");
+    analysis::IncrementalOutcome Out =
+        analysis::resolveIncremental(Edited, config(), convergedBase(), D);
+    EXPECT_EQ(Out.Incremental, C.Incremental) << Out.FallbackReason;
+    EXPECT_EQ(Out.FallbackReason.empty(), C.Incremental);
+    EXPECT_EQ(Out.Invalidated,
+              C.Incremental ? 0u : convergedBase().numTuples());
+    expectColdEquivalent(Edited, Out);
+  }
+}
+
+TEST(IncrementalSolve, AdditionAfterAColdRemovalContinuesAgain) {
+  facts::FactDB Removed = baseDB();
+  analysis::InputDelta DRm;
+  const std::string Args = existingAssignArgs();
+  ASSERT_EQ(applyDeltaOp("rm assign " + Args, Removed, DRm), "");
+  analysis::IncrementalOutcome Cold =
+      analysis::resolveIncremental(Removed, config(), convergedBase(), DRm);
+  ASSERT_FALSE(Cold.Incremental);
+  // The cold fallback records provenance, so the next addition (here the
+  // removed edge, re-added) continues from it.
+  facts::FactDB Readded = Removed;
+  analysis::InputDelta DAdd;
+  ASSERT_EQ(applyDeltaOp("add assign " + Args, Readded, DAdd), "");
   analysis::IncrementalOutcome Out =
-      analysis::resolveIncremental(Edited, config(), convergedBase(), D);
-  EXPECT_FALSE(Out.Incremental);
-  EXPECT_NE(Out.FallbackReason, "");
-  expectColdEquivalent(Edited, Out);
-}
-
-TEST(IncrementalSolve, DamageBudgetBoundsTheIncrementalPath) {
-  facts::FactDB Edited = baseDB();
-  analysis::InputDelta D;
-  ASSERT_EQ(applyDeltaOp("rm assign " + existingAssignArgs(), Edited, D),
-            "");
-  analysis::IncrementalOptions IO;
-  IO.MaxDamageRatio = 0.0; // Any invalidation at all exceeds the budget.
-  analysis::IncrementalOutcome Out = analysis::resolveIncremental(
-      Edited, config(), convergedBase(), D, IO);
-  EXPECT_FALSE(Out.Incremental);
-  EXPECT_NE(Out.FallbackReason.find("damage"), std::string::npos)
-      << Out.FallbackReason;
-  expectColdEquivalent(Edited, Out);
-}
-
-TEST(IncrementalSolve, DatalogEntryPointIsAnHonestFullResolve) {
-  facts::FactDB Edited = baseDB();
-  analysis::InputDelta D;
-  ASSERT_EQ(applyDeltaOp("add assign " + freshAssignArgs(), Edited, D), "");
-  analysis::IncrementalOutcome Out = analysis::resolveIncrementalViaDatalog(
-      Edited, config(), convergedBase(), D);
-  EXPECT_FALSE(Out.Incremental);
-  EXPECT_NE(Out.FallbackReason, "");
-  expectColdEquivalent(Edited, Out);
+      analysis::resolveIncremental(Readded, config(), Cold.R, DAdd);
+  EXPECT_TRUE(Out.Incremental) << Out.FallbackReason;
+  EXPECT_EQ(Out.Invalidated, 0u);
+  expectColdEquivalent(Readded, Out);
 }
 
 //===----------------------------------------------------------------------===//
@@ -561,18 +558,33 @@ TEST(ServiceTxn, CommitPublishesANewCertifiedEpoch) {
   Response Commit = T.ask("5\tcommit");
   ASSERT_EQ(Commit.Status, StatusOk) << Commit.Body;
   EXPECT_EQ(Commit.Epoch, 1u);
-  EXPECT_NE(Commit.Body.find("committed"), std::string::npos)
-      << Commit.Body;
   // A cold-started service keeps its provenance graph, so an add-only
   // delta must take the incremental path, not a full re-solve.
-  EXPECT_NE(Commit.Body.find("incremental"), std::string::npos)
-      << Commit.Body;
+  EXPECT_EQ(Commit.Body, "committed incremental");
   EXPECT_EQ(T.S.epoch(), 1u);
   // Every subsequent answer is stamped with the committed epoch.
   EXPECT_EQ(T.ask("6\tping").Epoch, 1u);
   Response Stat2 = T.ask("7\ttxstat");
   EXPECT_NE(Stat2.Body.find("epoch=1"), std::string::npos) << Stat2.Body;
   EXPECT_NE(Stat2.Body.find("open=-"), std::string::npos) << Stat2.Body;
+}
+
+TEST(ServiceTxn, RemovalCommitsAFullResolve) {
+  TxnService T;
+  std::string Args = existingAssignArgs();
+  Args[Args.find(' ')] = '\t';
+  ASSERT_EQ(T.ask("1\tbegin").Status, StatusOk);
+  ASSERT_EQ(T.ask("2\tdelta\trm\tassign\t" + Args).Status, StatusOk);
+  Response Rm = T.ask("3\tcommit");
+  ASSERT_EQ(Rm.Status, StatusOk) << Rm.Body;
+  EXPECT_EQ(Rm.Body, "committed full");
+  // The full re-solve kept provenance: re-adding the edge continues.
+  ASSERT_EQ(T.ask("4\tbegin").Status, StatusOk);
+  ASSERT_EQ(T.ask("5\tdelta\tadd\tassign\t" + Args).Status, StatusOk);
+  Response Add = T.ask("6\tcommit");
+  ASSERT_EQ(Add.Status, StatusOk) << Add.Body;
+  EXPECT_EQ(Add.Body, "committed incremental");
+  EXPECT_EQ(T.S.epoch(), 2u);
 }
 
 TEST(ServiceTxn, AbortLeavesAnswersByteIdentical) {

@@ -267,6 +267,43 @@ TEST(ProvenanceTest, TruncationDegradesToPrefix) {
   EXPECT_GT(Missing, 0u);
 }
 
+TEST(ProvenanceTest, IndexAndWholeGraphCopyKeepFirstDerivations) {
+  // Enough nodes to grow the index several times. The first 64 are hpts
+  // facts: a node is filed under (relation, fact), not the fact alone.
+  ProvenanceGraph G(/*MaxEdges=*/1u << 20);
+  const std::uint32_t N = 5000;
+  for (std::uint32_t I = 0; I < N; ++I) {
+    ProvRel Rel = I < 64 ? ProvRel::Hpts : ProvRel::Pts;
+    analysis::FactKey K{I % 64, I, 7, 0};
+    G.note(Rel, K, ProvRule::Assign, I ? I - 1 : ProvenanceGraph::InvalidNode,
+           ProvenanceGraph::InvalidNode, I);
+    // A later derivation of the same fact is not recorded.
+    G.note(Rel, K, ProvRule::Cast, ProvenanceGraph::InvalidNode,
+           ProvenanceGraph::InvalidNode, 0);
+  }
+  ASSERT_EQ(G.size(), N);
+  EXPECT_EQ(G.lookup(ProvRel::Pts, analysis::FactKey{0, 0, 7, 0}),
+            ProvenanceGraph::InvalidNode);
+
+  ProvenanceGraph Small(N - 1), Copy(N);
+  EXPECT_FALSE(Small.copyNodesFrom(G));
+  EXPECT_EQ(Small.size(), 0u);
+  ASSERT_TRUE(Copy.copyNodesFrom(G));
+  for (const ProvenanceGraph *Gr : {&G, &Copy})
+    for (std::uint32_t I = 0; I < N; ++I) {
+      ProvRel Rel = I < 64 ? ProvRel::Hpts : ProvRel::Pts;
+      std::uint32_t Node = Gr->lookup(Rel, analysis::FactKey{I % 64, I, 7, 0});
+      ASSERT_EQ(Node, I);
+      EXPECT_EQ(Gr->edgeOf(Node).Rule, ProvRule::Assign);
+      EXPECT_EQ(Gr->edgeOf(Node).Aux, I);
+    }
+  // The copy records on past the copied nodes, up to its own cap.
+  Copy.note(ProvRel::Call, analysis::FactKey{1, 2, 3, 4}, ProvRule::Static,
+            0, ProvenanceGraph::InvalidNode, 1);
+  EXPECT_TRUE(Copy.truncated());
+  EXPECT_EQ(Copy.size(), N);
+}
+
 TEST(ProvenanceTest, ChainRespectsNodeBound) {
   facts::FactDB DB = facts::extract(workload::generatePreset("luindex"));
   analysis::Results R =
