@@ -35,7 +35,9 @@
 # includes crashloop.sh --delta).
 #
 # --asan runs a targeted address+undefined matrix in its own build
-# directory (build-asan): the engine-semantics core, the
+# directory (build-asan): the engine-semantics core (which includes the
+# checkpoint-resume and incremental suites, so the solver's snapshot
+# replay and incremental seeding run instrumented), the
 # fixpoint-certification suite, the contextless-flavour suite, and the
 # memory-governor suite (ctest -L 'core|verify|flavours|memory' — the
 # unify union-find's pointer juggling and the governor's new-handler

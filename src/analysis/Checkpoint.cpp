@@ -211,34 +211,6 @@ void removeSnapshot(const std::string &Dir) {
     std::remove(checkpointPath(Dir).c_str());
 }
 
-void encodeRelations(const std::vector<PtsFact> &Pts,
-                     const std::vector<HptsFact> &Hpts,
-                     const std::vector<HloadFact> &Hload,
-                     const std::vector<CallFact> &Call,
-                     const std::vector<ReachFact> &Reach,
-                     const std::vector<GptsFact> &Gpts,
-                     const std::array<std::uint64_t, 6> &Heads,
-                     SolverSnapshot &S) {
-  S.Pts.Head = Heads[0];
-  for (const PtsFact &F : Pts)
-    S.Pts.Words.insert(S.Pts.Words.end(), {F.Var, F.Heap, F.T});
-  S.Hpts.Head = Heads[1];
-  for (const HptsFact &F : Hpts)
-    S.Hpts.Words.insert(S.Hpts.Words.end(), {F.Base, F.Field, F.Heap, F.T});
-  S.Hload.Head = Heads[2];
-  for (const HloadFact &F : Hload)
-    S.Hload.Words.insert(S.Hload.Words.end(), {F.Base, F.Field, F.Var, F.T});
-  S.Call.Head = Heads[3];
-  for (const CallFact &F : Call)
-    S.Call.Words.insert(S.Call.Words.end(), {F.Invoke, F.Method, F.T});
-  S.Reach.Head = Heads[4];
-  for (const ReachFact &F : Reach)
-    S.Reach.Words.insert(S.Reach.Words.end(), {F.Method, F.CtxtId});
-  S.Gpts.Head = Heads[5];
-  for (const GptsFact &F : Gpts)
-    S.Gpts.Words.insert(S.Gpts.Words.end(), {F.Global, F.Heap, F.T});
-}
-
 void encodeCtxtInterner(const Interner<ctx::CtxtVec, ctx::CtxtVecHash> &I,
                         std::vector<std::uint32_t> &Out) {
   Out.clear();

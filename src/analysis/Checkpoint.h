@@ -14,19 +14,20 @@
 ///     flattened in id order (dense first-seen interning makes a replayed
 ///     import reproduce the exact id assignment);
 ///   - every derived relation in insertion order, plus a per-relation
-///     "head" marking how many tuples were already processed — for the
-///     native solver the FIFO worklists are always exactly the suffix of
-///     the insertion-order relation vectors, and at a semi-naive round
-///     boundary the datalog engine's delta is likewise a suffix of each
-///     relation's rows, so (rows, head) is a complete work-state encoding;
+///     "head" marking how many tuples were already processed — the native
+///     solver keeps each relation as exactly these rows and head (its
+///     worklist is the unprocessed suffix, by construction), and at a
+///     semi-naive round boundary the datalog engine's delta is likewise a
+///     suffix of each relation's rows, so (rows, head) is a complete
+///     work-state encoding;
 ///   - progress counters, so a resumed run reports cumulative totals
 ///     identical to an uninterrupted one.
 ///
 /// Restoring replays the facts in insertion order without firing any
-/// rule: dedup sets, join indices, worklists, and (in collapse mode) the
-/// live-fact table are rebuilt as deterministic side effects of the
-/// replay, which is what makes checkpoint+resume byte-identical to an
-/// uninterrupted run.
+/// rule: dedup sets, join indices, and (in collapse mode) the live-fact
+/// table are rebuilt as deterministic side effects of the replay, and the
+/// restored heads resume the worklists, which is what makes
+/// checkpoint+resume byte-identical to an uninterrupted run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,9 +41,10 @@
 #include "support/Interner.h"
 #include "support/Stats.h"
 
-#include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace ctp {
@@ -137,18 +139,35 @@ std::string readSnapshot(const std::string &Path, SolverSnapshot &S);
 /// its checkpoint so a later --resume cannot pick up stale state.
 void removeSnapshot(const std::string &Dir);
 
-/// Flattens the six derived relations, in insertion order, into \p S's
-/// relation sections. \p Heads gives each section's Head (how many
-/// leading tuples are already processed), in section order: pts, hpts,
-/// hload, call, reach, gpts.
-void encodeRelations(const std::vector<PtsFact> &Pts,
-                     const std::vector<HptsFact> &Hpts,
-                     const std::vector<HloadFact> &Hload,
-                     const std::vector<CallFact> &Call,
-                     const std::vector<ReachFact> &Reach,
-                     const std::vector<GptsFact> &Gpts,
-                     const std::array<std::uint64_t, 6> &Heads,
-                     SolverSnapshot &S);
+/// The u32 words per tuple of the fact struct \p Fact. Every fact struct
+/// is a plain run of u32 columns in the order the snapshot stores them,
+/// so a relation's rows are its section's words.
+template <typename Fact> constexpr std::size_t arityOf() {
+  static_assert(std::is_trivially_copyable_v<Fact> &&
+                    alignof(Fact) == alignof(std::uint32_t) &&
+                    sizeof(Fact) % sizeof(std::uint32_t) == 0,
+                "fact structs must be plain runs of u32 columns");
+  return sizeof(Fact) / sizeof(std::uint32_t);
+}
+
+/// Flattens \p Rows, in insertion order, into \p Out, the first \p Head
+/// of them already processed.
+template <typename Fact>
+void encodeRelation(const std::vector<Fact> &Rows, std::uint64_t Head,
+                    RelationWords &Out) {
+  Out.Head = Head;
+  Out.Words.resize(Rows.size() * arityOf<Fact>());
+  if (!Rows.empty())
+    std::memcpy(Out.Words.data(), Rows.data(), Rows.size() * sizeof(Fact));
+}
+
+/// Tuple \p Row of \p W (Row < W.Words.size() / arityOf<Fact>()).
+template <typename Fact>
+Fact decodeRow(const RelationWords &W, std::size_t Row) {
+  Fact F;
+  std::memcpy(&F, W.Words.data() + Row * arityOf<Fact>(), sizeof(Fact));
+  return F;
+}
 
 /// Flattens \p I in id order into \p Out (length-prefixed vectors).
 void encodeCtxtInterner(const Interner<ctx::CtxtVec, ctx::CtxtVecHash> &I,

@@ -37,10 +37,12 @@ SolverSnapshot analysis::snapshotFromResults(const Results &R,
 
   // Converged: every head sits at its relation's size, so a restore
   // replays all tuples as already-processed and converges immediately.
-  encodeRelations(R.Pts, R.Hpts, R.Hload, R.Call, R.Reach, R.Gpts,
-                  {R.Pts.size(), R.Hpts.size(), R.Hload.size(),
-                   R.Call.size(), R.Reach.size(), R.Gpts.size()},
-                  S);
+  encodeRelation(R.Pts, R.Pts.size(), S.Pts);
+  encodeRelation(R.Hpts, R.Hpts.size(), S.Hpts);
+  encodeRelation(R.Hload, R.Hload.size(), S.Hload);
+  encodeRelation(R.Call, R.Call.size(), S.Call);
+  encodeRelation(R.Reach, R.Reach.size(), S.Reach);
+  encodeRelation(R.Gpts, R.Gpts.size(), S.Gpts);
 
   S.WorkItems = R.Stat.WorkItems;
   S.Derivations = R.Stat.Progress.Derivations;

@@ -15,7 +15,9 @@
 #include "support/Stats.h"
 
 #include <cassert>
-#include <deque>
+#include <optional>
+#include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -31,8 +33,30 @@ std::uint64_t pairKey(std::uint32_t A, std::uint32_t B) {
   return (static_cast<std::uint64_t>(A) << 32) | B;
 }
 
-/// The solver state: input indices built once, derived relations with
-/// their join indices, and FIFO worklists per derived relation.
+/// The empty premise slot of a one-premise rule or an axiom.
+struct NoFact {};
+
+constexpr ProvRel provRel(const PtsFact &) { return ProvRel::Pts; }
+constexpr ProvRel provRel(const HptsFact &) { return ProvRel::Hpts; }
+constexpr ProvRel provRel(const HloadFact &) { return ProvRel::Hload; }
+constexpr ProvRel provRel(const CallFact &) { return ProvRel::Call; }
+constexpr ProvRel provRel(const ReachFact &) { return ProvRel::Reach; }
+constexpr ProvRel provRel(const GptsFact &) { return ProvRel::Gpts; }
+
+/// One derived relation: its dedup set, its rows in insertion order, and
+/// how many leading rows have had their rules fired. The unprocessed
+/// suffix Rows[Head..] is the relation's FIFO worklist, so (Rows, Head)
+/// is also exactly what a checkpoint records.
+template <typename Fact> struct Relation {
+  std::unordered_set<FactKey, FactKeyHash> Set;
+  std::vector<Fact> Rows;
+  std::size_t Head = 0;
+
+  std::size_t pending() const { return Rows.size() - Head; }
+};
+
+/// The solver state: input indices built once, and the derived relations
+/// with their join indices.
 class Solver {
 public:
   Solver(const FactDB &DB, const ctx::Config &Cfg,
@@ -64,10 +88,11 @@ public:
 
   /// Rebuilds the full solver state from \p S by replaying its relations
   /// in insertion order (no rule firing, no meter charges): dedup sets,
-  /// join indices, worklists, and the collapse-mode live table fall out
-  /// of the replay deterministically. \returns an empty string on
-  /// success; on failure the solver must be discarded (partially
-  /// restored) and the caller cold-starts a fresh one.
+  /// join indices and the collapse-mode live table fall out of the replay
+  /// deterministically, and each relation's worklist resumes at its
+  /// recorded head. \returns an empty string on success; on failure the
+  /// solver must be discarded (partially restored) and the caller
+  /// cold-starts a fresh one.
   std::string tryRestore(const analysis::SolverSnapshot &S) {
     if (S.BackendTag != analysis::SolverSnapshot::Backend::Native)
       return "snapshot was written by a different back-end";
@@ -87,83 +112,28 @@ public:
     if (!analysis::decodeCtxtInterner(S.ReachCtxtWords, *ReachCtxts))
       return "snapshot reach-context table is inconsistent";
 
-    const std::uint32_t NumT = static_cast<std::uint32_t>(Dom->size());
-    const std::uint32_t NumCtxt = ReachCtxts->size();
-
-    const std::vector<std::uint32_t> &PW = S.Pts.Words;
-    for (std::size_t I = 0; I < PW.size(); I += 3) {
-      PtsFact F{PW[I], PW[I + 1], PW[I + 2]};
-      if (F.Var >= DB.numVars() || F.Heap >= DB.numHeaps() || F.T >= NumT)
-        return "snapshot pts relation has out-of-range ids";
-      if (!replay(F))
-        return "snapshot pts relation has duplicate tuples or disagrees "
-               "with its collapse state";
-      if (I / 3 >= S.Pts.Head)
-        PtsWork.push_back(F);
-    }
+    std::string E = restore<PtsFact>(S.Pts, "pts");
+    if (E.empty())
+      E = restore<HptsFact>(S.Hpts, "hpts");
+    if (E.empty())
+      E = restore<HloadFact>(S.Hload, "hload");
+    if (E.empty())
+      E = restore<CallFact>(S.Call, "call");
+    if (E.empty())
+      E = restore<ReachFact>(S.Reach, "reach");
+    if (E.empty())
+      E = restore<GptsFact>(S.Gpts, "gpts");
+    if (!E.empty())
+      return E;
     const std::vector<std::uint32_t> &SW = S.SubsumedWords;
     for (std::size_t I = 0; I < SW.size(); I += 3) {
       PtsFact F{SW[I], SW[I + 1], SW[I + 2]};
-      if (F.Var >= DB.numVars() || F.Heap >= DB.numHeaps() || F.T >= NumT)
+      if (!inRange(F))
         return "snapshot subsumed-pts section has out-of-range ids";
-      if (!PtsSet.insert(keyOf(F)).second)
+      if (!rel<PtsFact>().Set.insert(keyOf(F)).second)
         return "snapshot subsumed-pts section has duplicate tuples";
       if (Ckpt.enabled())
         SubsumedAtInsert.push_back(F);
-    }
-    const std::vector<std::uint32_t> &HW = S.Hpts.Words;
-    for (std::size_t I = 0; I < HW.size(); I += 4) {
-      HptsFact F{HW[I], HW[I + 1], HW[I + 2], HW[I + 3]};
-      if (F.Base >= DB.numHeaps() || F.Field >= DB.numFields() ||
-          F.Heap >= DB.numHeaps() || F.T >= NumT)
-        return "snapshot hpts relation has out-of-range ids";
-      if (!replay(F))
-        return "snapshot hpts relation has duplicate tuples";
-      if (I / 4 >= S.Hpts.Head)
-        HptsWork.push_back(F);
-    }
-    const std::vector<std::uint32_t> &LW = S.Hload.Words;
-    for (std::size_t I = 0; I < LW.size(); I += 4) {
-      HloadFact F{LW[I], LW[I + 1], LW[I + 2], LW[I + 3]};
-      if (F.Base >= DB.numHeaps() || F.Field >= DB.numFields() ||
-          F.Var >= DB.numVars() || F.T >= NumT)
-        return "snapshot hload relation has out-of-range ids";
-      if (!replay(F))
-        return "snapshot hload relation has duplicate tuples";
-      if (I / 4 >= S.Hload.Head)
-        HloadWork.push_back(F);
-    }
-    const std::vector<std::uint32_t> &CW = S.Call.Words;
-    for (std::size_t I = 0; I < CW.size(); I += 3) {
-      CallFact F{CW[I], CW[I + 1], CW[I + 2]};
-      if (F.Invoke >= DB.numInvokes() || F.Method >= DB.numMethods() ||
-          F.T >= NumT)
-        return "snapshot call relation has out-of-range ids";
-      if (!replay(F))
-        return "snapshot call relation has duplicate tuples";
-      if (I / 3 >= S.Call.Head)
-        CallWork.push_back(F);
-    }
-    const std::vector<std::uint32_t> &RW = S.Reach.Words;
-    for (std::size_t I = 0; I < RW.size(); I += 2) {
-      ReachFact F{RW[I], RW[I + 1]};
-      if (F.Method >= DB.numMethods() || F.CtxtId >= NumCtxt)
-        return "snapshot reach relation has out-of-range ids";
-      if (!replay(F))
-        return "snapshot reach relation has duplicate tuples";
-      if (I / 2 >= S.Reach.Head)
-        ReachWork.push_back(F);
-    }
-    const std::vector<std::uint32_t> &GW = S.Gpts.Words;
-    for (std::size_t I = 0; I < GW.size(); I += 3) {
-      GptsFact F{GW[I], GW[I + 1], GW[I + 2]};
-      if (F.Global >= DB.numGlobals() || F.Heap >= DB.numHeaps() ||
-          F.T >= NumT)
-        return "snapshot gpts relation has out-of-range ids";
-      if (!replay(F))
-        return "snapshot gpts relation has duplicate tuples";
-      if (I / 3 >= S.Gpts.Head)
-        GptsWork.push_back(F);
     }
 
     BaseWorkItems = static_cast<std::size_t>(S.WorkItems);
@@ -185,10 +155,11 @@ public:
   }
 
   /// Seeds this (fresh) solver with \p Prev — every tuple and its
-  /// provenance node — before the narrow additions \p D, so run() only
-  /// derives what the new rows can add. \returns an empty string when
-  /// \p Prev can be continued; else the fallback reason — the solver is
-  /// then partially mutated and must be discarded in favour of a cold one.
+  /// provenance node — and fires the rules of the previous tuples the
+  /// narrow additions \p D can join against, so run() only drains what
+  /// the new rows add. \returns an empty string when \p Prev can be
+  /// continued; else the fallback reason — the solver is then partially
+  /// mutated and must be discarded in favour of a cold one.
   std::string tryIncremental(const analysis::Results &Prev,
                              const analysis::InputDelta &D) {
     if (Prev.Stat.Term != TerminationReason::Converged)
@@ -235,69 +206,82 @@ public:
       return "previous derivation graph exceeds the provenance capacity";
 
     // Replay the relations checkpoint-style, as already processed.
-    auto ReplayAll = [this](const auto &Rel) {
-      for (const auto &F : Rel)
-        replay(F);
+    auto Replay = [this](const auto &Rows) {
+      for (const auto &F : Rows)
+        insert(F);
     };
-    ReplayAll(Prev.Pts);
-    ReplayAll(Prev.Hpts);
-    ReplayAll(Prev.Hload);
-    ReplayAll(Prev.Call);
-    ReplayAll(Prev.Reach);
-    ReplayAll(Prev.Gpts);
+    Replay(Prev.Pts);
+    Replay(Prev.Hpts);
+    Replay(Prev.Hload);
+    Replay(Prev.Call);
+    Replay(Prev.Reach);
+    Replay(Prev.Gpts);
+    std::apply([](auto &...R) { ((R.Head = R.Rows.size()), ...); }, Rels);
 
-    // Seed only the tuples the new rows can join against — one driving
+    // Fire only the tuples the new rows can join against — one driving
     // side per rule suffices because the fire-time index lookups already
     // see every new input row. (Entry additions need nothing here: run()'s
-    // ENTRY loop seeds them and dedups the surviving ones.)
-    auto SeedPtsOf = [this](std::uint32_t Var) {
+    // ENTRY loop seeds them and dedups the surviving ones.) The seeds are
+    // collected first because firing them grows the indices they come
+    // from.
+    std::vector<PtsFact> PtsSeeds;
+    std::vector<CallFact> CallSeeds;
+    std::vector<ReachFact> ReachSeeds;
+    std::vector<GptsFact> GptsSeeds;
+    auto PtsOf = [&](std::uint32_t Var) {
       PtsByVar.visitAll(Var, [&](JoinIndex::Entry E) {
-        PtsWork.push_back({Var, E.first, E.second});
+        PtsSeeds.push_back({Var, E.first, E.second});
       });
     };
     for (const auto &F : D.AddAssigns)
-      SeedPtsOf(F.From);
+      PtsOf(F.From);
     for (const auto &F : D.AddCasts)
-      SeedPtsOf(F.From);
+      PtsOf(F.From);
     for (const auto &F : D.AddLoads)
-      SeedPtsOf(F.Base);
+      PtsOf(F.Base);
     for (const auto &F : D.AddStores)
-      SeedPtsOf(F.From);
+      PtsOf(F.From);
     for (const auto &F : D.AddActuals)
-      SeedPtsOf(F.Var);
+      PtsOf(F.Var);
     for (const auto &F : D.AddReturns)
-      SeedPtsOf(F.Var);
+      PtsOf(F.Var);
     for (const auto &F : D.AddThrows)
-      SeedPtsOf(F.Var);
+      PtsOf(F.Var);
     for (const auto &F : D.AddVirtualInvokes)
-      SeedPtsOf(F.Receiver);
+      PtsOf(F.Receiver);
     for (const auto &F : D.AddGlobalStores)
-      SeedPtsOf(F.From);
-    auto SeedCallsTo = [this](std::uint32_t Method) {
+      PtsOf(F.From);
+    auto CallsTo = [&](std::uint32_t Method) {
       CallByCallee.visitAll(Method, [&](JoinIndex::Entry E) {
-        CallWork.push_back({E.first, Method, E.second});
+        CallSeeds.push_back({E.first, Method, E.second});
       });
     };
-    auto SeedCallsAt = [this](std::uint32_t Invoke) {
+    auto CallsAt = [&](std::uint32_t Invoke) {
       CallByInvoke.visitAll(Invoke, [&](JoinIndex::Entry E) {
-        CallWork.push_back({Invoke, E.first, E.second});
+        CallSeeds.push_back({Invoke, E.first, E.second});
       });
     };
     for (const auto &F : D.AddFormals)
-      SeedCallsTo(F.Method);
+      CallsTo(F.Method);
     for (const auto &F : D.AddAssignReturns)
-      SeedCallsAt(F.Invoke);
+      CallsAt(F.Invoke);
     for (const auto &F : D.AddCatches)
-      SeedCallsAt(F.Invoke);
+      CallsAt(F.Invoke);
+    auto ReachOf = [&](std::uint32_t Method) {
+      for (std::uint32_t CtxId : ReachByMethod[Method])
+        ReachSeeds.push_back({Method, CtxId});
+    };
     for (const auto &F : D.AddStaticInvokes)
-      for (std::uint32_t CtxId : ReachByMethod[F.InMethod])
-        ReachWork.push_back({F.InMethod, CtxId});
+      ReachOf(F.InMethod);
     for (const auto &F : D.AddAssignNews)
-      for (std::uint32_t CtxId : ReachByMethod[F.InMethod])
-        ReachWork.push_back({F.InMethod, CtxId});
+      ReachOf(F.InMethod);
     for (const auto &F : D.AddGlobalLoads)
       for (const auto &[Heap, T] : GptsByGlobal[F.Global])
-        GptsWork.push_back({F.Global, Heap, T});
+        GptsSeeds.push_back({F.Global, Heap, T});
+    fireAll(PtsSeeds);
+    fireAll(CallSeeds);
+    fireAll(ReachSeeds);
+    fireAll(GptsSeeds);
     return {};
   }
 
@@ -309,11 +293,8 @@ public:
       for (std::uint32_t E : DB.EntryMethods) {
         CtxtVec Entry;
         Entry.push_back(ctx::EntryElem);
-        CtxtVec Ctx = Entry.takePrefix(M);
-        if (addReach(E, Ctx) && Prov)
-          Prov->note(ProvRel::Reach,
-                     keyOf(ReachFact{E, ReachCtxts->intern(Ctx)}),
-                     ProvRule::Entry, NoNode, NoNode, E);
+        derive(ReachFact{E, ReachCtxts->intern(Entry.takePrefix(M))},
+               ProvRule::Entry, NoFact{}, NoFact{}, E);
       }
     }
     drain();
@@ -331,6 +312,17 @@ public:
 
     Results R;
     R.Config = Cfg;
+    R.Stat.DomainSize = Dom->size();
+    R.Stat.CompAttempts = CompAttempts;
+    R.Stat.CompBottoms = CompBottoms;
+    R.Stat.WorkItems = BaseWorkItems + WorkItems;
+    R.Stat.Term = Meter.reason();
+    R.Stat.Progress.Iterations = BaseWorkItems + WorkItems;
+    R.Stat.Progress.Derivations =
+        static_cast<std::size_t>(totalDerivations());
+    R.Stat.Progress.PendingWork = pendingWork();
+    R.Stat.CheckpointError = CkptError;
+    R.Stat.ProvenanceDropped = ProvDropped;
     if (Collapse) {
       // Report only the live (non-retired) facts.
       for (const auto &[Key, Ts] : LivePts) {
@@ -340,35 +332,24 @@ public:
           R.Pts.push_back({Var, Heap, T});
       }
     } else {
-      R.Pts.assign(PtsRel.begin(), PtsRel.end());
+      R.Pts = std::move(rel<PtsFact>().Rows);
     }
-    R.Hpts.assign(HptsRel.begin(), HptsRel.end());
-    R.Hload.assign(HloadRel.begin(), HloadRel.end());
-    R.Call.assign(CallRel.begin(), CallRel.end());
-    R.Reach.assign(ReachRel.begin(), ReachRel.end());
-    R.Gpts.assign(GptsRel.begin(), GptsRel.end());
-    R.Stat.NumGpts = GptsRel.size();
+    R.Hpts = std::move(rel<HptsFact>().Rows);
+    R.Hload = std::move(rel<HloadFact>().Rows);
+    R.Call = std::move(rel<CallFact>().Rows);
+    R.Reach = std::move(rel<ReachFact>().Rows);
+    R.Gpts = std::move(rel<GptsFact>().Rows);
     R.Stat.NumPts = R.Pts.size();
     R.Stat.CollapsedPts = CollapsedPts;
-    R.Stat.NumHpts = HptsRel.size();
-    R.Stat.NumHload = HloadRel.size();
-    R.Stat.NumCall = CallRel.size();
-    R.Stat.NumReach = ReachRel.size();
-    R.Stat.DomainSize = Dom->size();
-    R.Stat.CompAttempts = CompAttempts;
-    R.Stat.CompBottoms = CompBottoms;
-    R.Stat.WorkItems = BaseWorkItems + WorkItems;
-    R.Stat.Seconds = Timer.seconds();
-    R.Stat.Term = Meter.reason();
-    R.Stat.Progress.Iterations = BaseWorkItems + WorkItems;
-    R.Stat.Progress.Derivations =
-        static_cast<std::size_t>(totalDerivations());
-    R.Stat.Progress.PendingWork = pendingWork();
-    R.Stat.CheckpointError = CkptError;
-    R.Stat.ProvenanceDropped = ProvDropped;
+    R.Stat.NumHpts = R.Hpts.size();
+    R.Stat.NumHload = R.Hload.size();
+    R.Stat.NumCall = R.Call.size();
+    R.Stat.NumReach = R.Reach.size();
+    R.Stat.NumGpts = R.Gpts.size();
     R.Dom = std::move(Dom);
     R.ReachCtxts = ReachCtxts;
     R.Prov = std::move(Prov);
+    R.Stat.Seconds = Timer.seconds();
     return R;
   }
 
@@ -466,38 +447,65 @@ private:
     return SubtypePairs.count(pairKey(Sub, Super)) != 0;
   }
 
-  //===--- Derived-fact insertion (dedup + index update + enqueue) --------===//
+  //===--- Derived relations ----------------------------------------------===//
 
-  /// All addX methods return true exactly when the tuple was newly
-  /// appended to its relation — the moment a provenance edge, if enabled,
-  /// must be noted by the rule site (which alone knows the premises).
-  bool addPts(std::uint32_t Var, std::uint32_t Heap, TransformId T) {
+  template <typename Fact> Relation<Fact> &rel() {
+    return std::get<Relation<Fact>>(Rels);
+  }
+
+  std::size_t pendingWork() const {
+    return std::apply([](const auto &...R) { return (R.pending() + ...); },
+                      Rels);
+  }
+
+  /// The one place a derived tuple is concluded: charges the meter,
+  /// inserts (dedup, row, join index, and so the worklist), and records
+  /// the first derivation — rule \p Rule from premises \p P0 and \p P1
+  /// (NoFact for an empty slot) plus the input selector \p Aux.
+  template <typename Fact, typename Prem0, typename Prem1>
+  void derive(const Fact &F, ProvRule Rule, const Prem0 &P0,
+              const Prem1 &P1, std::uint32_t Aux) {
     Meter.chargeDerivations();
-    PtsFact F{Var, Heap, T};
-    if (!PtsSet.insert(keyOf(F)).second)
-      return false;
-    if (Collapse && !collapseInsert(Var, Heap, T)) {
-      // The fact occupies the dedup set but never reaches the relation;
-      // a checkpoint must carry it separately or a resumed run would
-      // re-attempt (and re-count) the same subsumed derivations.
-      if (Ckpt.enabled())
-        SubsumedAtInsert.push_back(F);
-      return false;
-    }
+    if (!insert(F))
+      return;
     Meter.chargeTuple();
-    PtsRel.push_back(F);
-    indexPts(F);
-    PtsWork.push_back(F);
+    if (Prov)
+      Prov->note(provRel(F), keyOf(F), Rule, node(P0), node(P1), Aux);
+  }
+
+  std::uint32_t node(NoFact) const { return NoNode; }
+  template <typename Fact> std::uint32_t node(const Fact &F) const {
+    return Prov->lookup(provRel(F), keyOf(F));
+  }
+
+  /// Dedup, row append and join indexing, without meter or provenance —
+  /// shared by derive() and the replays of restore and incremental
+  /// continuation. \returns false for a duplicate, or (collapse mode) a
+  /// pts fact a live one subsumes.
+  template <typename Fact> bool insert(const Fact &F) {
+    Relation<Fact> &R = rel<Fact>();
+    if (!R.Set.insert(keyOf(F)).second)
+      return false;
+    if constexpr (std::is_same_v<Fact, PtsFact>)
+      if (Collapse && !collapseInsert(F)) {
+        // The fact occupies the dedup set but never reaches the relation;
+        // a checkpoint must carry it separately or a resumed run would
+        // re-attempt (and re-count) the same subsumed derivations.
+        if (Ckpt.enabled())
+          SubsumedAtInsert.push_back(F);
+        return false;
+      }
+    R.Rows.push_back(F);
+    index(F);
     return true;
   }
 
   /// Subsumption collapsing (Section 8 extension): \returns false when the
   /// new fact is subsumed by a live fact; otherwise retires live facts the
   /// new one subsumes and returns true.
-  bool collapseInsert(std::uint32_t Var, std::uint32_t Heap,
-                      TransformId T) {
-    auto &Live = LivePts[pairKey(Var, Heap)];
-    const ctx::Transformer &NewT = Dom->transformer(T);
+  bool collapseInsert(const PtsFact &F) {
+    auto &Live = LivePts[pairKey(F.Var, F.Heap)];
+    const ctx::Transformer &NewT = Dom->transformer(F.T);
     for (TransformId Old : Live)
       if (ctx::subsumes(Dom->transformer(Old), NewT)) {
         ++CollapsedPts;
@@ -510,71 +518,39 @@ private:
     for (std::size_t I = 0; I < Live.size(); ++I) {
       if (ctx::subsumes(NewT, Dom->transformer(Live[I]))) {
         ++CollapsedPts;
-        PtsByVar.erase(Var, Dom->outKey(Live[I]), {Heap, Live[I]});
+        PtsByVar.erase(F.Var, Dom->outKey(Live[I]), {F.Heap, Live[I]});
         continue;
       }
       Live[Kept++] = Live[I];
     }
     Live.resize(Kept);
-    Live.push_back(T);
-    return true;
-  }
-
-  bool addHpts(std::uint32_t Base, std::uint32_t Field, std::uint32_t Heap,
-               TransformId T) {
-    Meter.chargeDerivations();
-    HptsFact F{Base, Field, Heap, T};
-    if (!HptsSet.insert(keyOf(F)).second)
-      return false;
-    Meter.chargeTuple();
-    HptsRel.push_back(F);
-    indexHpts(F);
-    HptsWork.push_back(F);
-    return true;
-  }
-
-  bool addHload(std::uint32_t Base, std::uint32_t Field, std::uint32_t Var,
-                TransformId T) {
-    Meter.chargeDerivations();
-    HloadFact F{Base, Field, Var, T};
-    if (!HloadSet.insert(keyOf(F)).second)
-      return false;
-    Meter.chargeTuple();
-    HloadRel.push_back(F);
-    indexHload(F);
-    HloadWork.push_back(F);
-    return true;
-  }
-
-  bool addCall(std::uint32_t Invoke, std::uint32_t Method, TransformId T) {
-    Meter.chargeDerivations();
-    CallFact F{Invoke, Method, T};
-    if (!CallSet.insert(keyOf(F)).second)
-      return false;
-    Meter.chargeTuple();
-    CallRel.push_back(F);
-    indexCall(F);
-    CallWork.push_back(F);
+    Live.push_back(F.T);
     return true;
   }
 
   // Join-index keys: partners that sit on the left of comp are listed by
   // outKey, those on the right by inKey. The inverted partners of STORE,
   // RET and THROW sit on the right, and inKey(inv(X)) == outKey(X).
-  void indexPts(const PtsFact &F) {
+  void index(const PtsFact &F) {
     PtsByVar.insert(F.Var, Dom->outKey(F.T), {F.Heap, F.T});
   }
-  void indexHpts(const HptsFact &F) {
+  void index(const HptsFact &F) {
     HptsByBaseField.insert(BaseFields.intern(pairKey(F.Base, F.Field)),
                            Dom->outKey(F.T), {F.Heap, F.T});
   }
-  void indexHload(const HloadFact &F) {
+  void index(const HloadFact &F) {
     HloadByBaseField.insert(BaseFields.intern(pairKey(F.Base, F.Field)),
                             Dom->inKey(F.T), {F.Var, F.T});
   }
-  void indexCall(const CallFact &F) {
+  void index(const CallFact &F) {
     CallByInvoke.insert(F.Invoke, Dom->inKey(F.T), {F.Method, F.T});
     CallByCallee.insert(F.Method, Dom->outKey(F.T), {F.Invoke, F.T});
+  }
+  void index(const ReachFact &F) {
+    ReachByMethod[F.Method].push_back(F.CtxtId);
+  }
+  void index(const GptsFact &F) {
+    GptsByGlobal[F.Global].push_back({F.Heap, F.T});
   }
 
   /// Dom->comp, counted into CompAttempts/CompBottoms.
@@ -587,92 +563,55 @@ private:
     return R;
   }
 
-  bool addGpts(std::uint32_t Global, std::uint32_t Heap, TransformId T) {
-    Meter.chargeDerivations();
-    GptsFact F{Global, Heap, T};
-    if (!GptsSet.insert(keyOf(F)).second)
-      return false;
-    Meter.chargeTuple();
-    GptsRel.push_back(F);
-    GptsByGlobal[Global].push_back({Heap, T});
-    GptsWork.push_back(F);
-    return true;
-  }
-
-  bool addReach(std::uint32_t Method, const CtxtVec &Ctx) {
-    Meter.chargeDerivations();
-    std::uint32_t CtxId = ReachCtxts->intern(Ctx);
-    ReachFact F{Method, CtxId};
-    if (!ReachSet.insert(keyOf(F)).second)
-      return false;
-    Meter.chargeTuple();
-    ReachRel.push_back(F);
-    ReachByMethod[Method].push_back(CtxId);
-    ReachWork.push_back(F);
-    return true;
-  }
-
-  // Replay of an already-derived tuple (snapshot restore, incremental
-  // continuation): dedup set, relation vector and join index, in the
-  // previous insertion order, with no rule firing and no meter charge.
-  // The caller enqueues what is still unprocessed. \returns false on a
-  // duplicate (or, for pts in collapse mode, a subsumed tuple).
-  bool replay(const PtsFact &F) {
-    if (!PtsSet.insert(keyOf(F)).second ||
-        (Collapse && !collapseInsert(F.Var, F.Heap, F.T)))
-      return false;
-    PtsRel.push_back(F);
-    indexPts(F);
-    return true;
-  }
-  bool replay(const HptsFact &F) {
-    if (!HptsSet.insert(keyOf(F)).second)
-      return false;
-    HptsRel.push_back(F);
-    indexHpts(F);
-    return true;
-  }
-  bool replay(const HloadFact &F) {
-    if (!HloadSet.insert(keyOf(F)).second)
-      return false;
-    HloadRel.push_back(F);
-    indexHload(F);
-    return true;
-  }
-  bool replay(const CallFact &F) {
-    if (!CallSet.insert(keyOf(F)).second)
-      return false;
-    CallRel.push_back(F);
-    indexCall(F);
-    return true;
-  }
-  bool replay(const ReachFact &F) {
-    if (!ReachSet.insert(keyOf(F)).second)
-      return false;
-    ReachRel.push_back(F);
-    ReachByMethod[F.Method].push_back(F.CtxtId);
-    return true;
-  }
-  bool replay(const GptsFact &F) {
-    if (!GptsSet.insert(keyOf(F)).second)
-      return false;
-    GptsRel.push_back(F);
-    GptsByGlobal[F.Global].push_back({F.Heap, F.T});
-    return true;
-  }
-
   //===--- Checkpointing --------------------------------------------------===//
+
+  bool inRange(const PtsFact &F) const {
+    return F.Var < DB.numVars() && F.Heap < DB.numHeaps() &&
+           F.T < Dom->size();
+  }
+  bool inRange(const HptsFact &F) const {
+    return F.Base < DB.numHeaps() && F.Field < DB.numFields() &&
+           F.Heap < DB.numHeaps() && F.T < Dom->size();
+  }
+  bool inRange(const HloadFact &F) const {
+    return F.Base < DB.numHeaps() && F.Field < DB.numFields() &&
+           F.Var < DB.numVars() && F.T < Dom->size();
+  }
+  bool inRange(const CallFact &F) const {
+    return F.Invoke < DB.numInvokes() && F.Method < DB.numMethods() &&
+           F.T < Dom->size();
+  }
+  bool inRange(const ReachFact &F) const {
+    return F.Method < DB.numMethods() && F.CtxtId < ReachCtxts->size();
+  }
+  bool inRange(const GptsFact &F) const {
+    return F.Global < DB.numGlobals() && F.Heap < DB.numHeaps() &&
+           F.T < Dom->size();
+  }
+
+  /// Replays one snapshot section (see tryRestore) and resumes its
+  /// worklist at the section's head.
+  template <typename Fact>
+  std::string restore(const analysis::RelationWords &W, const char *Name) {
+    for (std::size_t Row = 0; Row < W.Words.size() / arityOf<Fact>();
+         ++Row) {
+      const Fact F = decodeRow<Fact>(W, Row);
+      if (!inRange(F))
+        return std::string("snapshot ") + Name +
+               " relation has out-of-range ids";
+      if (!insert(F))
+        return std::string("snapshot ") + Name +
+               " relation has duplicate or subsumed tuples";
+    }
+    rel<Fact>().Head = W.Head;
+    return {};
+  }
 
   std::uint64_t totalDerivations() const {
     return BaseDerivations + Meter.derivations();
   }
 
-  std::size_t pendingWork() const {
-    return PtsWork.size() + HptsWork.size() + HloadWork.size() +
-           CallWork.size() + ReachWork.size() + GptsWork.size();
-  }
-
-  analysis::SolverSnapshot captureSnapshot(TerminationReason Term) const {
+  analysis::SolverSnapshot captureSnapshot(TerminationReason Term) {
     analysis::SolverSnapshot S;
     S.BackendTag = analysis::SolverSnapshot::Backend::Native;
     S.Collapse = Collapse;
@@ -682,14 +621,15 @@ private:
     Dom->exportInterned(S.DomainWords);
     analysis::encodeCtxtInterner(*ReachCtxts, S.ReachCtxtWords);
 
-    // Each worklist is the suffix of its insertion-order relation vector,
-    // so (rows, processed-count head) is the whole work state.
-    analysis::encodeRelations(
-        PtsRel, HptsRel, HloadRel, CallRel, ReachRel, GptsRel,
-        {PtsRel.size() - PtsWork.size(), HptsRel.size() - HptsWork.size(),
-         HloadRel.size() - HloadWork.size(), CallRel.size() - CallWork.size(),
-         ReachRel.size() - ReachWork.size(), GptsRel.size() - GptsWork.size()},
-        S);
+    auto Encode = [](const auto &Rel, analysis::RelationWords &Out) {
+      analysis::encodeRelation(Rel.Rows, Rel.Head, Out);
+    };
+    Encode(rel<PtsFact>(), S.Pts);
+    Encode(rel<HptsFact>(), S.Hpts);
+    Encode(rel<HloadFact>(), S.Hload);
+    Encode(rel<CallFact>(), S.Call);
+    Encode(rel<ReachFact>(), S.Reach);
+    Encode(rel<GptsFact>(), S.Gpts);
     for (const PtsFact &F : SubsumedAtInsert)
       S.SubsumedWords.insert(S.SubsumedWords.end(), {F.Var, F.Heap, F.T});
 
@@ -716,13 +656,12 @@ private:
   //===--- Rule firing ----------------------------------------------------===//
 
   void drain() {
-    while (!PtsWork.empty() || !HptsWork.empty() || !HloadWork.empty() ||
-           !CallWork.empty() || !ReachWork.empty() || !GptsWork.empty()) {
+    while (pendingWork() != 0) {
       // Budget poll at rule-firing granularity: one item's consequences
-      // are always fully derived (the adds above never abort mid-item),
-      // so a trip leaves the relations a sound prefix of the fixpoint
-      // with the unprocessed items counted as pending work — which is
-      // also exactly the state a trip-time checkpoint captures.
+      // are always fully derived (derive() never aborts mid-item), so a
+      // trip leaves the relations a sound prefix of the fixpoint with the
+      // unprocessed suffixes counted as pending work — which is also
+      // exactly the state a trip-time checkpoint captures.
       if (auto Trip = Meter.poll()) {
         if (Ckpt.enabled())
           writeCheckpoint(*Trip);
@@ -731,73 +670,116 @@ private:
       if (Ckpt.enabled() && Ckpt.EveryDerivations != 0 &&
           totalDerivations() - CkptLastDerivations >= Ckpt.EveryDerivations)
         writeCheckpoint(TerminationReason::Converged);
-      if (!PtsWork.empty()) {
-        PtsFact F = PtsWork.front();
-        PtsWork.pop_front();
-        ++WorkItems;
-        onNewPts(F);
-        continue;
-      }
-      if (!HptsWork.empty()) {
-        HptsFact F = HptsWork.front();
-        HptsWork.pop_front();
-        ++WorkItems;
-        onNewHpts(F);
-        continue;
-      }
-      if (!HloadWork.empty()) {
-        HloadFact F = HloadWork.front();
-        HloadWork.pop_front();
-        ++WorkItems;
-        onNewHload(F);
-        continue;
-      }
-      if (!CallWork.empty()) {
-        CallFact F = CallWork.front();
-        CallWork.pop_front();
-        ++WorkItems;
-        onNewCall(F);
-        continue;
-      }
-      if (!GptsWork.empty()) {
-        GptsFact F = GptsWork.front();
-        GptsWork.pop_front();
-        ++WorkItems;
-        onNewGpts(F);
-        continue;
-      }
-      ReachFact F = ReachWork.front();
-      ReachWork.pop_front();
-      ++WorkItems;
-      onNewReach(F);
+      fireNext<PtsFact>() || fireNext<HptsFact>() || fireNext<HloadFact>() ||
+          fireNext<CallFact>() || fireNext<GptsFact>() ||
+          fireNext<ReachFact>();
     }
   }
 
-  void onNewPts(const PtsFact &F) {
-    // Provenance node of the driving fact (NoNode when recording is off;
-    // each note() below then never executes thanks to the && Prov guard).
-    const std::uint32_t FN =
-        Prov ? Prov->lookup(ProvRel::Pts, keyOf(F)) : NoNode;
+  /// Pops the head of \p Fact's worklist and fires its rules. \returns
+  /// false when that worklist is empty.
+  template <typename Fact> bool fireNext() {
+    Relation<Fact> &R = rel<Fact>();
+    if (R.pending() == 0)
+      return false;
+    // A copy: the rules fired below append to R.Rows.
+    const Fact F = R.Rows[R.Head++];
+    ++WorkItems;
+    fire(F);
+    return true;
+  }
 
+  template <typename Fact> void fireAll(const std::vector<Fact> &Seeds) {
+    for (const Fact &F : Seeds) {
+      ++WorkItems;
+      fire(F);
+    }
+  }
+
+  // The two-premise rules, each written once and called from both of its
+  // driving sides, which differ only in the join-index walk that finds
+  // the partner. Provenance premise order is the rule's, whichever side
+  // drives.
+
+  /// [STORE] pts(X,H,B), store(X,Fl,Z), pts(Z,G,C)
+  ///         |- hpts(G,Fl,H, B ; inv(C)).
+  void store(const PtsFact &Value, std::uint32_t Field, const PtsFact &Base) {
+    if (auto A = comp(Value.T, Dom->inv(Base.T), H, H))
+      derive(HptsFact{Base.Heap, Field, Value.Heap, *A}, ProvRule::Store,
+             Value, Base, Value.Var);
+  }
+
+  /// [PARAM] pts(Z,H,B), actual(Z,I,O), call(I,P,C), formal(Y,P,O)
+  ///         |- pts(Y,H, B ; C), with \p Formal = Y.
+  void param(const PtsFact &Actual, const CallFact &Call,
+             std::uint32_t Formal) {
+    if (auto A = comp(Actual.T, Call.T, H, M))
+      derive(PtsFact{Formal, Actual.Heap, *A}, ProvRule::Param, Actual, Call,
+             Call.Invoke);
+  }
+
+  /// [SHORTCUT] (cutshortcut mode) pts(Z,H,B), actual(Z,I,O),
+  ///            call(I,P,C), shortcut(P,O), assign_return(I,Y)
+  ///            |- pts(Y,H, (B ; C) ; inv(C)) — the actual forwarded
+  ///            straight to this call's result, replacing the cut RET
+  ///            flow per call site.
+  void shortcut(const PtsFact &Actual, const CallFact &Call) {
+    if (auto In = comp(Actual.T, Call.T, H, M))
+      if (auto A = comp(*In, Dom->inv(Call.T), H, M))
+        for (std::uint32_t Y : AssignRetByInvoke[Call.Invoke])
+          derive(PtsFact{Y, Actual.Heap, *A}, ProvRule::Shortcut, Actual,
+                 Call, Call.Invoke);
+  }
+
+  /// [RET] pts(Z,H,B), return(Z,P), call(I,P,C), assign_return(I,Y)
+  ///       |- pts(Y,H, B ; inv(C)), with \p InvC = inv(C).
+  void ret(const PtsFact &Returned, const CallFact &Call, TransformId InvC) {
+    if (auto A = comp(Returned.T, InvC, H, M))
+      for (std::uint32_t Y : AssignRetByInvoke[Call.Invoke])
+        derive(PtsFact{Y, Returned.Heap, *A}, ProvRule::Ret, Returned, Call,
+               Call.Invoke);
+  }
+
+  /// [THROW] pts(Z,H,B), throw(Z,P), call(I,P,C), catch(I,Y)
+  ///         |- pts(Y,H, B ; inv(C)) — the exceptional return path, with
+  ///         \p InvC = inv(C).
+  void thrown(const PtsFact &Thrown, const CallFact &Call, TransformId InvC) {
+    if (auto A = comp(Thrown.T, InvC, H, M))
+      for (std::uint32_t Y : CatchByInvoke[Call.Invoke])
+        derive(PtsFact{Y, Thrown.Heap, *A}, ProvRule::Throw, Thrown, Call,
+               Call.Invoke);
+  }
+
+  /// [IND] hpts(G,Fl,H,B), hload(G,Fl,Y,C) |- pts(Y,H, B ; C).
+  void ind(const HptsFact &Stored, const HloadFact &Load) {
+    if (auto A = comp(Stored.T, Load.T, H, M))
+      derive(PtsFact{Load.Var, Stored.Heap, *A}, ProvRule::Ind, Stored, Load,
+             UINT32_MAX);
+  }
+
+  /// [GLOAD] gpts(G,H,A), global_load(G,Z,P), reach(P,Mx)
+  ///         |- pts(Z,H, retarget(A,Mx)).
+  void gload(const GptsFact &Global, const ReachFact &Reach, std::uint32_t Z) {
+    derive(PtsFact{Z, Global.Heap,
+                   Dom->retarget(Global.T, (*ReachCtxts)[Reach.CtxtId])},
+           ProvRule::GLoad, Global, Reach, Global.Global);
+  }
+
+  void fire(const PtsFact &F) {
     // [ASSIGN] pts(Z,H,A), assign(Z,Y) |- pts(Y,H,A).
     for (std::uint32_t Y : AssignFrom[F.Var])
-      if (addPts(Y, F.Heap, F.T) && Prov)
-        Prov->note(ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, F.T}),
-                   ProvRule::Assign, FN, NoNode, F.Var);
+      derive(PtsFact{Y, F.Heap, F.T}, ProvRule::Assign, F, NoFact{}, F.Var);
 
     // [CAST] pts(Z,H,A), cast(Z,Y,T), heap_type(H,T'), subtype(T',T)
     //        |- pts(Y,H,A): an assignment filtered by the cast type.
     for (const auto &[Y, T] : CastByFrom[F.Var])
       if (isSubtype(HeapTypeOf[F.Heap], T))
-        if (addPts(Y, F.Heap, F.T) && Prov)
-          Prov->note(ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, F.T}),
-                     ProvRule::Cast, FN, NoNode, F.Var);
+        derive(PtsFact{Y, F.Heap, F.T}, ProvRule::Cast, F, NoFact{}, F.Var);
 
     // [LOAD] pts(Y,G,A), load(Y,F,Z) |- hload(G,F,Z,A).
     for (const auto &[Field, To] : LoadByBase[F.Var])
-      if (addHload(F.Heap, Field, To, F.T) && Prov)
-        Prov->note(ProvRel::Hload, keyOf(HloadFact{F.Heap, Field, To, F.T}),
-                   ProvRule::Load, FN, NoNode, F.Var);
+      derive(HloadFact{F.Heap, Field, To, F.T}, ProvRule::Load, F, NoFact{},
+             F.Var);
 
     // Every join below probes with outKey(F.T): this fact is comp's left
     // operand, or (STORE's base side) its inverted right operand, and
@@ -805,112 +787,52 @@ private:
     // inKey, inverted ones by outKey.
     const std::uint32_t OutK = Dom->outKey(F.T);
 
-    // [STORE] pts(X,H,B), store(X,Fl,Z), pts(Z,G,C)
-    //         |- hpts(G,Fl,H, B ; inv(C)).
-    // Provenance premise order is always (value pts, base pts).
-    // Driven from the stored-value side (this fact is pts(X,H,B))...
+    // [STORE], this fact as the stored value, then as the base.
     for (const auto &[Field, Base] : StoreByValue[F.Var])
-      PtsByVar.visit(Base, OutK, [&](JoinIndex::Entry P) {
-        auto [G, C] = P;
-        if (auto A = comp(F.T, Dom->inv(C), H, H))
-          if (addHpts(G, Field, F.Heap, *A) && Prov)
-            Prov->note(ProvRel::Hpts, keyOf(HptsFact{G, Field, F.Heap, *A}),
-                       ProvRule::Store, FN,
-                       Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Base, G, C})),
-                       F.Var);
+      PtsByVar.visit(Base, OutK, [&](JoinIndex::Entry E) {
+        store(F, Field, {Base, E.first, E.second});
       });
-    // ...and from the base side (this fact is pts(Z,G,C)): B ; inv(C)
-    // needs outKey(B) compatible with inKey(inv(C)) == outKey(C).
     for (const auto &[Field, Value] : StoreByBase[F.Var])
-      PtsByVar.visit(Value, OutK, [&](JoinIndex::Entry P) {
-        auto [Hp, B] = P;
-        if (auto A = comp(B, Dom->inv(F.T), H, H))
-          if (addHpts(F.Heap, Field, Hp, *A) && Prov)
-            Prov->note(ProvRel::Hpts, keyOf(HptsFact{F.Heap, Field, Hp, *A}),
-                       ProvRule::Store,
-                       Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Value, Hp, B})),
-                       FN, Value);
+      PtsByVar.visit(Value, OutK, [&](JoinIndex::Entry E) {
+        store({Value, E.first, E.second}, Field, F);
       });
 
-    // [PARAM] pts(Z,H,B), actual(Z,I,O), call(I,P,C), formal(Y,P,O)
-    //         |- pts(Y,H, B ; C). Premise order: (actual pts, call).
+    // [PARAM] and (cutshortcut mode) [SHORTCUT], this fact as the actual.
     for (const auto &[Invoke, Ord] : ActualByVar[F.Var])
-      CallByInvoke.visit(Invoke, OutK, [&](JoinIndex::Entry P) {
-        auto [Callee, C] = P;
-        if (auto It = FormalOf.find(pairKey(Callee, Ord));
+      CallByInvoke.visit(Invoke, OutK, [&](JoinIndex::Entry E) {
+        if (auto It = FormalOf.find(pairKey(E.first, Ord));
             It != FormalOf.end())
-          if (auto A = comp(F.T, C, H, M))
-            if (addPts(It->second, F.Heap, *A) && Prov)
-              Prov->note(
-                  ProvRel::Pts, keyOf(PtsFact{It->second, F.Heap, *A}),
-                  ProvRule::Param, FN,
-                  Prov->lookup(ProvRel::Call, keyOf(CallFact{Invoke, Callee, C})),
-                  Invoke);
+          param(F, {Invoke, E.first, E.second}, It->second);
       });
-
-    // [SHORTCUT] (cutshortcut mode) pts(Z,H,B), actual(Z,I,O),
-    //            call(I,P,C), shortcut(P,O), assign_return(I,Y)
-    //            |- pts(Y,H, (B ; C) ; inv(C)) — the actual forwarded
-    //            straight to this call's result, replacing the cut RET
-    //            flow per call site. Premise order: (actual pts, call).
     if (CutMode)
       for (const auto &[Invoke, Ord] : ActualByVar[F.Var])
-        CallByInvoke.visit(Invoke, OutK, [&](JoinIndex::Entry P) {
-          auto [Callee, C] = P;
-          if (CutPlan.hasShortcut(Callee, Ord))
-            if (auto In = comp(F.T, C, H, M))
-              if (auto A = comp(*In, Dom->inv(C), H, M))
-                for (std::uint32_t Y : AssignRetByInvoke[Invoke])
-                  if (addPts(Y, F.Heap, *A) && Prov)
-                    Prov->note(ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, *A}),
-                               ProvRule::Shortcut, FN,
-                               Prov->lookup(ProvRel::Call,
-                                            keyOf(CallFact{Invoke, Callee, C})),
-                               Invoke);
+        CallByInvoke.visit(Invoke, OutK, [&](JoinIndex::Entry E) {
+          if (CutPlan.hasShortcut(E.first, Ord))
+            shortcut(F, {Invoke, E.first, E.second});
         });
 
-    // [RET] pts(Z,H,B), return(Z,P), call(I,P,C), assign_return(I,Y)
-    //       |- pts(Y,H, B ; inv(C)). Premise order: (return pts, call).
-    // In cutshortcut mode the cut (method, return-var) pairs are skipped:
-    // their flows are re-delivered per call site by [SHORTCUT].
+    // [RET], this fact as the returned value. In cutshortcut mode the cut
+    // (method, return-var) pairs are skipped: their flows are re-delivered
+    // per call site by [SHORTCUT].
     for (std::uint32_t P : ReturnByVar[F.Var]) {
       if (CutMode && CutPlan.isCutReturn(P, F.Var))
         continue;
       CallByCallee.visit(P, OutK, [&](JoinIndex::Entry E) {
-        auto [Invoke, C] = E;
-        if (auto A = comp(F.T, Dom->inv(C), H, M))
-          for (std::uint32_t Y : AssignRetByInvoke[Invoke])
-            if (addPts(Y, F.Heap, *A) && Prov)
-              Prov->note(
-                  ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, *A}), ProvRule::Ret,
-                  FN,
-                  Prov->lookup(ProvRel::Call, keyOf(CallFact{Invoke, P, C})),
-                  Invoke);
+        ret(F, {E.first, P, E.second}, Dom->inv(E.second));
       });
     }
 
-    // [THROW] pts(Z,H,B), throw(Z,P), call(I,P,C), catch(I,Y)
-    //         |- pts(Y,H, B ; inv(C)) — the exceptional return path.
+    // [THROW], this fact as the thrown value.
     for (std::uint32_t P : ThrowByVar[F.Var])
       CallByCallee.visit(P, OutK, [&](JoinIndex::Entry E) {
-        auto [Invoke, C] = E;
-        if (auto A = comp(F.T, Dom->inv(C), H, M))
-          for (std::uint32_t Y : CatchByInvoke[Invoke])
-            if (addPts(Y, F.Heap, *A) && Prov)
-              Prov->note(
-                  ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, *A}), ProvRule::Throw,
-                  FN,
-                  Prov->lookup(ProvRel::Call, keyOf(CallFact{Invoke, P, C})),
-                  Invoke);
+        thrown(F, {E.first, P, E.second}, Dom->inv(E.second));
       });
 
     // [GSTORE] pts(X,H,B), global_store(X,G) |- gpts(G,H, globalize(B)).
     if (!GlobalStoreByValue[F.Var].empty()) {
       TransformId GT = Dom->globalize(F.T);
       for (std::uint32_t G : GlobalStoreByValue[F.Var])
-        if (addGpts(G, F.Heap, GT) && Prov)
-          Prov->note(ProvRel::Gpts, keyOf(GptsFact{G, F.Heap, GT}),
-                     ProvRule::GStore, FN, NoNode, F.Var);
+        derive(GptsFact{G, F.Heap, GT}, ProvRule::GStore, F, NoFact{}, F.Var);
     }
 
     // [VIRT] virtual_invoke(I,Z,S), pts(Z,H,B), heap_type(H,T),
@@ -922,195 +844,109 @@ private:
         auto It = Dispatch.find(pairKey(HeapType, Sig));
         if (It == Dispatch.end())
           continue; // No implementation: dead dispatch.
-        std::uint32_t Q = It->second;
-        TransformId C = Dom->mergeVirtual(F.Heap, Invoke, F.T);
-        if (addCall(Invoke, Q, C) && Prov)
-          Prov->note(ProvRel::Call, keyOf(CallFact{Invoke, Q, C}),
-                     ProvRule::VirtCall, FN, NoNode, Invoke);
-        std::uint32_t ThisY = ThisOf[Q];
+        const CallFact Call{Invoke, It->second,
+                            Dom->mergeVirtual(F.Heap, Invoke, F.T)};
+        derive(Call, ProvRule::VirtCall, F, NoFact{}, Invoke);
+        std::uint32_t ThisY = ThisOf[Call.Method];
         assert(ThisY != facts::InvalidId &&
                "dispatched method has no this variable");
-        if (auto A = comp(F.T, C, H, M))
-          if (addPts(ThisY, F.Heap, *A) && Prov)
-            Prov->note(
-                ProvRel::Pts, keyOf(PtsFact{ThisY, F.Heap, *A}),
-                ProvRule::VirtThis, FN,
-                Prov->lookup(ProvRel::Call, keyOf(CallFact{Invoke, Q, C})),
-                Invoke);
+        if (auto A = comp(F.T, Call.T, H, M))
+          derive(PtsFact{ThisY, F.Heap, *A}, ProvRule::VirtThis, F, Call,
+                 Invoke);
       }
     }
   }
 
-  void onNewHpts(const HptsFact &F) {
-    // [IND] hpts(G,Fl,H,B), hload(G,Fl,Y,C) |- pts(Y,H, B ; C).
-    // Provenance premise order is always (hpts, hload).
-    const std::uint32_t FN =
-        Prov ? Prov->lookup(ProvRel::Hpts, keyOf(F)) : NoNode;
-    HloadByBaseField.visit(
-        BaseFields.lookup(pairKey(F.Base, F.Field)), Dom->outKey(F.T),
-        [&](JoinIndex::Entry E) {
-          auto [Y, C] = E;
-          if (auto A = comp(F.T, C, H, M))
-            if (addPts(Y, F.Heap, *A) && Prov)
-              Prov->note(ProvRel::Pts, keyOf(PtsFact{Y, F.Heap, *A}),
-                         ProvRule::Ind, FN,
-                         Prov->lookup(ProvRel::Hload,
-                                      keyOf(HloadFact{F.Base, F.Field, Y, C})),
-                         UINT32_MAX);
-        });
+  void fire(const HptsFact &F) {
+    // [IND], this fact as the stored value.
+    HloadByBaseField.visit(BaseFields.lookup(pairKey(F.Base, F.Field)),
+                           Dom->outKey(F.T), [&](JoinIndex::Entry E) {
+                             ind(F, {F.Base, F.Field, E.first, E.second});
+                           });
   }
 
-  void onNewHload(const HloadFact &F) {
-    // [IND], driven from the load side.
-    const std::uint32_t FN =
-        Prov ? Prov->lookup(ProvRel::Hload, keyOf(F)) : NoNode;
-    HptsByBaseField.visit(
-        BaseFields.lookup(pairKey(F.Base, F.Field)), Dom->inKey(F.T),
-        [&](JoinIndex::Entry E) {
-          auto [Hp, B] = E;
-          if (auto A = comp(B, F.T, H, M))
-            if (addPts(F.Var, Hp, *A) && Prov)
-              Prov->note(ProvRel::Pts, keyOf(PtsFact{F.Var, Hp, *A}),
-                         ProvRule::Ind,
-                         Prov->lookup(ProvRel::Hpts,
-                                      keyOf(HptsFact{F.Base, F.Field, Hp, B})),
-                         FN, UINT32_MAX);
-        });
+  void fire(const HloadFact &F) {
+    // [IND], this fact as the load.
+    HptsByBaseField.visit(BaseFields.lookup(pairKey(F.Base, F.Field)),
+                          Dom->inKey(F.T), [&](JoinIndex::Entry E) {
+                            ind({F.Base, F.Field, E.first, E.second}, F);
+                          });
   }
 
-  void onNewCall(const CallFact &F) {
-    const std::uint32_t FN =
-        Prov ? Prov->lookup(ProvRel::Call, keyOf(F)) : NoNode;
-
+  void fire(const CallFact &F) {
     // [REACH] call(I,P,A) |- reach(P, target(A)).
-    CtxtVec Tgt = Dom->target(F.T);
-    if (addReach(F.Method, Tgt) && Prov)
-      Prov->note(ProvRel::Reach,
-                 keyOf(ReachFact{F.Method, ReachCtxts->intern(Tgt)}),
-                 ProvRule::Reach, FN, NoNode, F.Invoke);
+    derive(ReachFact{F.Method, ReachCtxts->intern(Dom->target(F.T))},
+           ProvRule::Reach, F, NoFact{}, F.Invoke);
 
     // Join probes: B ; C (PARAM, SHORTCUT) needs outKey(B) compatible with
     // inKey(C); B ; inv(C) (RET, THROW) with inKey(inv(C)) == outKey(C).
     // The actual Z and the assign-return or catch target Y live in the
-    // same caller method and may be one variable, so the addPts below can
+    // same caller method and may be one variable, so a rule below can
     // grow the pts list being visited; JoinIndex::visit allows that.
     const std::uint32_t InK = Dom->inKey(F.T), OutK = Dom->outKey(F.T);
 
-    // [PARAM], driven from the call side. Premise order: (actual pts, call).
+    // [PARAM], this fact as the call.
     for (const auto &[Ord, Z] : ActualByInvoke[F.Invoke])
       if (auto It = FormalOf.find(pairKey(F.Method, Ord));
           It != FormalOf.end())
         PtsByVar.visit(Z, InK, [&](JoinIndex::Entry E) {
-          auto [Hp, B] = E;
-          if (auto A = comp(B, F.T, H, M))
-            if (addPts(It->second, Hp, *A) && Prov)
-              Prov->note(ProvRel::Pts, keyOf(PtsFact{It->second, Hp, *A}),
-                         ProvRule::Param,
-                         Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Z, Hp, B})),
-                         FN, F.Invoke);
+          param({Z, E.first, E.second}, F, It->second);
         });
 
-    // [SHORTCUT], driven from the call side (cutshortcut mode).
-    if (CutMode && !AssignRetByInvoke[F.Invoke].empty()) {
-      TransformId InvC = Dom->inv(F.T);
+    // [SHORTCUT], this fact as the call (cutshortcut mode).
+    if (CutMode && !AssignRetByInvoke[F.Invoke].empty())
       for (const auto &[Ord, Z] : ActualByInvoke[F.Invoke])
         if (CutPlan.hasShortcut(F.Method, Ord))
           PtsByVar.visit(Z, InK, [&](JoinIndex::Entry E) {
-            auto [Hp, B] = E;
-            if (auto In = comp(B, F.T, H, M))
-              if (auto A = comp(*In, InvC, H, M))
-                for (std::uint32_t Y : AssignRetByInvoke[F.Invoke])
-                  if (addPts(Y, Hp, *A) && Prov)
-                    Prov->note(
-                        ProvRel::Pts, keyOf(PtsFact{Y, Hp, *A}),
-                        ProvRule::Shortcut,
-                        Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Z, Hp, B})),
-                        FN, F.Invoke);
+            shortcut({Z, E.first, E.second}, F);
           });
-    }
 
-    // [RET], driven from the call side (cut pairs skipped as above).
+    // [RET], this fact as the call (cut pairs skipped as above).
     if (!AssignRetByInvoke[F.Invoke].empty()) {
-      TransformId InvC = Dom->inv(F.T);
+      const TransformId InvC = Dom->inv(F.T);
       for (std::uint32_t Z : ReturnByMethod[F.Method]) {
         if (CutMode && CutPlan.isCutReturn(F.Method, Z))
           continue;
         PtsByVar.visit(Z, OutK, [&](JoinIndex::Entry E) {
-          auto [Hp, B] = E;
-          if (auto A = comp(B, InvC, H, M))
-            for (std::uint32_t Y : AssignRetByInvoke[F.Invoke])
-              if (addPts(Y, Hp, *A) && Prov)
-                Prov->note(
-                    ProvRel::Pts, keyOf(PtsFact{Y, Hp, *A}), ProvRule::Ret,
-                    Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Z, Hp, B})), FN,
-                    F.Invoke);
+          ret({Z, E.first, E.second}, F, InvC);
         });
       }
     }
 
-    // [THROW], driven from the call side.
+    // [THROW], this fact as the call.
     if (!CatchByInvoke[F.Invoke].empty()) {
-      TransformId InvC = Dom->inv(F.T);
+      const TransformId InvC = Dom->inv(F.T);
       for (std::uint32_t Z : ThrowByMethod[F.Method])
         PtsByVar.visit(Z, OutK, [&](JoinIndex::Entry E) {
-          auto [Hp, B] = E;
-          if (auto A = comp(B, InvC, H, M))
-            for (std::uint32_t Y : CatchByInvoke[F.Invoke])
-              if (addPts(Y, Hp, *A) && Prov)
-                Prov->note(
-                    ProvRel::Pts, keyOf(PtsFact{Y, Hp, *A}), ProvRule::Throw,
-                    Prov->lookup(ProvRel::Pts, keyOf(PtsFact{Z, Hp, B})), FN,
-                    F.Invoke);
+          thrown({Z, E.first, E.second}, F, InvC);
         });
     }
   }
 
-  void onNewGpts(const GptsFact &F) {
-    // [GLOAD] gpts(G,H,A), global_load(G,Z,P), reach(P,Mx)
-    //         |- pts(Z,H, retarget(A,Mx)).
-    // Provenance premise order is always (gpts, reach).
-    const std::uint32_t FN =
-        Prov ? Prov->lookup(ProvRel::Gpts, keyOf(F)) : NoNode;
+  void fire(const GptsFact &F) {
+    // [GLOAD], this fact as the global's value.
     for (const auto &[Z, P] : GlobalLoadByGlobal[F.Global])
-      for (std::uint32_t CtxId : ReachByMethod[P]) {
-        TransformId A = Dom->retarget(F.T, (*ReachCtxts)[CtxId]);
-        if (addPts(Z, F.Heap, A) && Prov)
-          Prov->note(ProvRel::Pts, keyOf(PtsFact{Z, F.Heap, A}),
-                     ProvRule::GLoad, FN,
-                     Prov->lookup(ProvRel::Reach, keyOf(ReachFact{P, CtxId})),
-                     F.Global);
-      }
+      for (std::uint32_t CtxId : ReachByMethod[P])
+        gload(F, {P, CtxId}, Z);
   }
 
-  void onNewReach(const ReachFact &F) {
+  void fire(const ReachFact &F) {
     const CtxtVec &Ctx = (*ReachCtxts)[F.CtxtId];
-    const std::uint32_t FN =
-        Prov ? Prov->lookup(ProvRel::Reach, keyOf(F)) : NoNode;
-    // [GLOAD], driven from the reach side.
+    // [GLOAD], this fact as the loading method's reachability.
     for (const auto &[G, Z] : GlobalLoadByMethod[F.Method])
-      for (const auto &[Hp, A] : GptsByGlobal[G]) {
-        TransformId RT = Dom->retarget(A, Ctx);
-        if (addPts(Z, Hp, RT) && Prov)
-          Prov->note(ProvRel::Pts, keyOf(PtsFact{Z, Hp, RT}), ProvRule::GLoad,
-                     Prov->lookup(ProvRel::Gpts, keyOf(GptsFact{G, Hp, A})),
-                     FN, G);
-      }
+      for (const auto &[Hp, A] : GptsByGlobal[G])
+        gload({G, Hp, A}, F, Z);
     // [NEW] assign_new(H,Y,P), reach(P,Mx) |- pts(Y,H, record(Mx)).
     if (!AssignNewByMethod[F.Method].empty()) {
       TransformId A = Dom->record(Ctx);
       for (const auto &[Hp, Y] : AssignNewByMethod[F.Method])
-        if (addPts(Y, Hp, A) && Prov)
-          Prov->note(ProvRel::Pts, keyOf(PtsFact{Y, Hp, A}), ProvRule::New,
-                     FN, NoNode, Hp);
+        derive(PtsFact{Y, Hp, A}, ProvRule::New, F, NoFact{}, Hp);
     }
     // [STATIC] static_invoke(I,Q,P), reach(P,Mx)
     //          |- call(I,Q, merge_s(I,Mx)).
-    for (const auto &[Invoke, Target] : StaticByMethod[F.Method]) {
-      TransformId C = Dom->mergeStatic(Invoke, Ctx);
-      if (addCall(Invoke, Target, C) && Prov)
-        Prov->note(ProvRel::Call, keyOf(CallFact{Invoke, Target, C}),
-                   ProvRule::Static, FN, NoNode, Invoke);
-    }
+    for (const auto &[Invoke, Target] : StaticByMethod[F.Method])
+      derive(CallFact{Invoke, Target, Dom->mergeStatic(Invoke, Ctx)},
+             ProvRule::Static, F, NoFact{}, Invoke);
   }
 
   //===--- State ----------------------------------------------------------===//
@@ -1143,30 +979,18 @@ private:
       CastByFrom;
   std::unordered_set<std::uint64_t> SubtypePairs;
 
-  // Derived relations, dedup sets, and join indices.
-  std::unordered_set<FactKey, FactKeyHash> PtsSet, HptsSet, HloadSet,
-      CallSet, ReachSet, GptsSet;
-  std::vector<PtsFact> PtsRel;
-  std::vector<HptsFact> HptsRel;
-  std::vector<HloadFact> HloadRel;
-  std::vector<CallFact> CallRel;
-  std::vector<ReachFact> ReachRel;
-  std::vector<GptsFact> GptsRel;
-  std::vector<std::vector<std::pair<std::uint32_t, TransformId>>>
-      GptsByGlobal;
+  // Derived relations and their join indices.
+  std::tuple<Relation<PtsFact>, Relation<HptsFact>, Relation<HloadFact>,
+             Relation<CallFact>, Relation<ReachFact>, Relation<GptsFact>>
+      Rels;
   JoinIndex PtsByVar, HptsByBaseField, HloadByBaseField, CallByInvoke,
       CallByCallee;
   /// Dense owner ids of the (base heap, field) pairs of hpts/hload.
   Interner<std::uint64_t> BaseFields;
-  std::uint64_t CompAttempts = 0, CompBottoms = 0;
   std::vector<std::vector<std::uint32_t>> ReachByMethod;
-
-  std::deque<PtsFact> PtsWork;
-  std::deque<HptsFact> HptsWork;
-  std::deque<HloadFact> HloadWork;
-  std::deque<CallFact> CallWork;
-  std::deque<ReachFact> ReachWork;
-  std::deque<GptsFact> GptsWork;
+  std::vector<std::vector<std::pair<std::uint32_t, TransformId>>>
+      GptsByGlobal;
+  std::uint64_t CompAttempts = 0, CompBottoms = 0;
 
   std::size_t WorkItems = 0;
   BudgetMeter Meter;

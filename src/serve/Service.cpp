@@ -263,7 +263,7 @@ std::string Service::init() {
       verify::ClosureOptions CO;
       CO.ModuloSubsumption = Opts.Collapse;
       std::string Counterexample;
-      if (!verify::checkClosure(DB, *Hot, CO, Counterexample)) {
+      if (!verify::Certifier(DB, *Hot).closure(CO, Counterexample)) {
         note("startup certification FAILED on the replayed state: " +
              Counterexample);
         note("discarding journal '" + JournalFile + "' and restarting "
@@ -571,13 +571,12 @@ Response Service::commitTxn(const Request &Q) {
   // Certify before anything becomes visible or durable: closure (no
   // rule can still fire) and support (every tuple has a valid recorded
   // derivation). A result that fails either never reaches clients.
-  verify::ClosureOptions CO;
+  verify::Certifier Cert(*Txn->Staged, Out.R);
   std::string Counterexample;
-  if (!verify::checkClosure(*Txn->Staged, Out.R, CO, Counterexample))
+  if (!Cert.closure(verify::ClosureOptions(), Counterexample))
     return abortTxn(Q, "certification failed (closure): " + Counterexample,
                     StatusTxnAborted);
-  if (Out.R.Prov &&
-      !verify::checkSupport(*Txn->Staged, Out.R, Counterexample))
+  if (Out.R.Prov && !Cert.support(Counterexample))
     return abortTxn(Q, "certification failed (support): " + Counterexample,
                     StatusTxnAborted);
   fault::txnCrashPoint("certify");

@@ -42,9 +42,10 @@ namespace {
 /// rule method returns false on the first missing conclusion.
 class ClosureChecker {
 public:
-  ClosureChecker(const FactDB &DB, Results &R, const ClosureOptions &Opts,
+  ClosureChecker(const FactDB &DB, Results &R, const InputIndices &In,
+                 const DerivedView &View, const ClosureOptions &Opts,
                  std::string &CE)
-      : DB(DB), R(R), In(DB), View(DB, R),
+      : DB(DB), R(R), In(In), View(View),
         Modulo(Opts.ModuloSubsumption &&
                R.Config.Abs == ctx::Abstraction::TransformerString),
         Cut(R.Config.SolveMode == ctx::Mode::CutShortcut),
@@ -321,8 +322,8 @@ private:
 
   const FactDB &DB;
   Results &R;
-  InputIndices In;
-  DerivedView View;
+  const InputIndices &In;
+  const DerivedView &View;
   bool Modulo;
   bool Cut;
   ctx::CutShortcutPlan Plan;
@@ -333,9 +334,7 @@ private:
 
 } // namespace
 
-bool verify::checkClosure(const FactDB &DB, Results &R,
-                          const ClosureOptions &Opts,
-                          std::string &Counterexample) {
+bool detail::closureReady(const Results &R, std::string &Counterexample) {
   if (R.Stat.Term != TerminationReason::Converged) {
     Counterexample =
         std::string("run did not converge (termination: ") +
@@ -346,9 +345,25 @@ bool verify::checkClosure(const FactDB &DB, Results &R,
     Counterexample = "result carries no transformation domain";
     return false;
   }
-  ClosureChecker Checker(DB, R, Opts, Counterexample);
+  return true;
+}
+
+bool detail::closureOver(const FactDB &DB, Results &R,
+                         const InputIndices &In, const DerivedView &View,
+                         const ClosureOptions &Opts,
+                         std::string &Counterexample) {
+  ClosureChecker Checker(DB, R, In, View, Opts, Counterexample);
   const bool Closed = Checker.run();
   if (Opts.Stats)
     *Opts.Stats = Checker.stats();
   return Closed;
+}
+
+bool verify::checkClosure(const FactDB &DB, Results &R,
+                          const ClosureOptions &Opts,
+                          std::string &Counterexample) {
+  if (!closureReady(R, Counterexample))
+    return false;
+  return closureOver(DB, R, InputIndices(DB), DerivedView(DB, R), Opts,
+                     Counterexample);
 }

@@ -20,6 +20,7 @@
 
 #include "analysis/Results.h"
 #include "facts/FactDB.h"
+#include "verify/Verify.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -192,6 +193,19 @@ private:
   std::vector<std::uint32_t> LeftKeys; // TransformId -> left key
   std::unordered_map<std::uint64_t, std::uint32_t> HloadSlotOf;
 };
+
+/// The two certifiers over prebuilt indices, so one certification can
+/// build them once for both (verify::Certifier). The *Ready checks are
+/// each certifier's preconditions — what must hold before the derived
+/// views can be built at all; on failure they fill \p Counterexample.
+bool closureReady(const analysis::Results &R, std::string &Counterexample);
+bool closureOver(const facts::FactDB &DB, analysis::Results &R,
+                 const InputIndices &In, const DerivedView &View,
+                 const ClosureOptions &Opts, std::string &Counterexample);
+bool supportReady(const analysis::Results &R, std::string &Counterexample);
+bool supportOver(const facts::FactDB &DB, analysis::Results &R,
+                 const InputIndices &In, const DerivedSets &Sets,
+                 std::string &Counterexample);
 
 /// Entity-name helpers: the recorded name, or "kind#id" when the table
 /// has no (or an empty) entry.

@@ -39,8 +39,9 @@ constexpr std::uint32_t Invalid = ProvenanceGraph::InvalidNode;
 
 class SupportChecker {
 public:
-  SupportChecker(const FactDB &DB, Results &R, std::string &CE)
-      : DB(DB), R(R), G(*R.Prov), In(DB), Sets(R),
+  SupportChecker(const FactDB &DB, Results &R, const InputIndices &In,
+                 const DerivedSets &Sets, std::string &CE)
+      : DB(DB), R(R), G(*R.Prov), In(In), Sets(Sets),
         M(R.Config.MethodDepth), H(R.Config.HeapDepth), CE(CE) {
     // SHORTCUT certificates ground in the cut plan; recompute it from
     // the inputs. For any other mode the plan stays empty, so a stray
@@ -451,8 +452,8 @@ private:
   const FactDB &DB;
   Results &R;
   const ProvenanceGraph &G;
-  InputIndices In;
-  DerivedSets Sets;
+  const InputIndices &In;
+  const DerivedSets &Sets;
   ctx::CutShortcutPlan Plan;
   unsigned M, H;
   std::string &CE;
@@ -460,8 +461,7 @@ private:
 
 } // namespace
 
-bool verify::checkSupport(const FactDB &DB, Results &R,
-                          std::string &Counterexample) {
+bool detail::supportReady(const Results &R, std::string &Counterexample) {
   if (!R.Prov) {
     Counterexample = "result carries no provenance graph";
     return false;
@@ -470,5 +470,19 @@ bool verify::checkSupport(const FactDB &DB, Results &R,
     Counterexample = "result carries no transformation domain";
     return false;
   }
-  return SupportChecker(DB, R, Counterexample).run();
+  return true;
+}
+
+bool detail::supportOver(const FactDB &DB, Results &R,
+                         const InputIndices &In, const DerivedSets &Sets,
+                         std::string &Counterexample) {
+  return SupportChecker(DB, R, In, Sets, Counterexample).run();
+}
+
+bool verify::checkSupport(const FactDB &DB, Results &R,
+                          std::string &Counterexample) {
+  if (!supportReady(R, Counterexample))
+    return false;
+  return supportOver(DB, R, InputIndices(DB), DerivedSets(R),
+                     Counterexample);
 }

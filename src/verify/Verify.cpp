@@ -106,6 +106,46 @@ taintFlowIds(const FactDB &DB, const Results &R,
 
 } // namespace
 
+struct Certifier::Shared {
+  Shared(const FactDB &Given, Results &R)
+      : R(R), View(R.Config.SolveMode == ctx::Mode::Unify ? unifyView(Given)
+                                                           : FactDB()),
+        DB(R.Config.SolveMode == ctx::Mode::Unify ? View : Given), In(DB) {}
+
+  Results &R;
+  FactDB View; ///< unifyView of the given facts; empty for other modes.
+  const FactDB &DB;
+  InputIndices In;
+  /// The closure views, built by the first closure(); their relation
+  /// sets then serve support() too.
+  std::unique_ptr<DerivedView> Joins;
+  /// The relation sets of a support() run without a closure() before it.
+  std::unique_ptr<DerivedSets> Sets;
+};
+
+Certifier::Certifier(const FactDB &DB, Results &R)
+    : S(std::make_unique<Shared>(DB, R)) {}
+
+Certifier::~Certifier() = default;
+
+bool Certifier::closure(const ClosureOptions &Opts,
+                        std::string &Counterexample) {
+  if (!closureReady(S->R, Counterexample))
+    return false;
+  if (!S->Joins)
+    S->Joins = std::make_unique<DerivedView>(S->DB, S->R);
+  return closureOver(S->DB, S->R, S->In, *S->Joins, Opts, Counterexample);
+}
+
+bool Certifier::support(std::string &Counterexample) {
+  if (!supportReady(S->R, Counterexample))
+    return false;
+  if (!S->Joins && !S->Sets)
+    S->Sets = std::make_unique<DerivedSets>(S->R);
+  return supportOver(S->DB, S->R, S->In,
+                     S->Joins ? *S->Joins : *S->Sets, Counterexample);
+}
+
 bool verify::verifyFactDB(const FactDB &DB, const std::string &CellPrefix,
                           const VerifyOptions &Opts,
                           verdict::Report &Report) {
@@ -153,23 +193,19 @@ bool verify::verifyFactDB(const FactDB &DB, const std::string &CellPrefix,
       // path tags every tuple with the identity transformation, which is
       // ci-equivalent but not the exact tuple set the Figure-3 rules
       // close over. Requesting provenance routes solve() through the
-      // native engine over unifyView(DB); closure and support then check
+      // native engine over unifyView(DB); the Certifier then checks
       // against that same view.
       SO.Provenance.Enabled = Opts.Support || IsUnify;
       Results R = solve(DB, Cfgs[I], SO);
-      facts::FactDB ViewStore;
-      const FactDB *CertDB = &DB;
-      if (IsUnify && (Opts.Closure || Opts.Support)) {
-        ViewStore = unifyView(DB);
-        CertDB = &ViewStore;
-      }
       const std::string Cell = CellPrefix + "/" + Name + "/native";
-      std::string CE;
-      if (Opts.Closure)
-        Row(Cell, "closure",
-            checkClosure(*CertDB, R, ClosureOptions(), CE), CE);
-      if (Opts.Support)
-        Row(Cell, "support", checkSupport(*CertDB, R, CE), CE);
+      if (Opts.Closure || Opts.Support) {
+        Certifier Cert(DB, R);
+        std::string CE;
+        if (Opts.Closure)
+          Row(Cell, "closure", Cert.closure(ClosureOptions(), CE), CE);
+        if (Opts.Support)
+          Row(Cell, "support", Cert.support(CE), CE);
+      }
       if (Opts.Differential && Opts.Datalog && !Contextless)
         NativeLines = canonicalLines(DB, R);
       KeptOrder.push_back(Name);

@@ -47,6 +47,7 @@
 #include "support/Verdict.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,28 @@ bool checkClosure(const facts::FactDB &DB, analysis::Results &R,
 /// the offending node or tuple.
 bool checkSupport(const facts::FactDB &DB, analysis::Results &R,
                   std::string &Counterexample);
+
+/// Closure and support of one result over a single build of the
+/// input-fact indices and derived-relation sets the two checks share —
+/// how a commit, a replayed journal and a verifyFactDB cell certify. A
+/// unify result is certified against unifyView(DB), the facts its
+/// (provenance-recording) native run closes over; every other result
+/// against \p DB. Call closure() before support() to share the relation
+/// sets as well as the input indices.
+class Certifier {
+public:
+  Certifier(const facts::FactDB &DB, analysis::Results &R);
+  ~Certifier();
+
+  /// checkClosure over the shared build.
+  bool closure(const ClosureOptions &Opts, std::string &Counterexample);
+  /// checkSupport over the shared build.
+  bool support(std::string &Counterexample);
+
+private:
+  struct Shared;
+  std::unique_ptr<Shared> S;
+};
 
 /// Renders \p R as sorted, engine-independent lines: entity ids resolve
 /// through \p DB's name tables and transformation/context ids through the

@@ -304,6 +304,84 @@ TEST(IncrementalSolve, AdditionAfterAColdRemovalContinuesAgain) {
   expectColdEquivalent(Readded, Out);
 }
 
+TEST(IncrementalSolve, EveryNarrowPredicateReaddsIncrementally) {
+  // One row of each narrow predicate, as "<predicate> <operands>" op
+  // text: the middle row, so it joins against a solved neighbourhood.
+  const facts::FactDB &Base = baseDB();
+  auto N = [](const std::vector<std::string> &Names, facts::Id I) {
+    return " " + Names[I];
+  };
+  auto Num = [](facts::Id I) { return " " + std::to_string(I); };
+  std::vector<std::string> Rows;
+  auto Row = [&Rows](const char *Pred, const auto &Table, auto Operands) {
+    if (Table.empty()) {
+      ADD_FAILURE() << "the base facts have no " << Pred << " row";
+      return;
+    }
+    Rows.push_back(Pred + Operands(Table[Table.size() / 2]));
+  };
+  const auto &V = Base.VarNames, &Me = Base.MethodNames,
+             &In = Base.InvokeNames;
+  Row("assign", Base.Assigns,
+      [&](const auto &F) { return N(V, F.From) + N(V, F.To); });
+  Row("cast", Base.Casts, [&](const auto &F) {
+    return N(V, F.From) + N(V, F.To) + N(Base.TypeNames, F.Type);
+  });
+  Row("load", Base.Loads, [&](const auto &F) {
+    return N(V, F.Base) + N(Base.FieldNames, F.Field) + N(V, F.To);
+  });
+  Row("store", Base.Stores, [&](const auto &F) {
+    return N(V, F.From) + N(Base.FieldNames, F.Field) + N(V, F.Base);
+  });
+  Row("actual", Base.Actuals, [&](const auto &F) {
+    return N(V, F.Var) + N(In, F.Invoke) + Num(F.Ordinal);
+  });
+  Row("formal", Base.Formals, [&](const auto &F) {
+    return N(V, F.Var) + N(Me, F.Method) + Num(F.Ordinal);
+  });
+  Row("return", Base.Returns,
+      [&](const auto &F) { return N(V, F.Var) + N(Me, F.Method); });
+  Row("assign_return", Base.AssignReturns,
+      [&](const auto &F) { return N(In, F.Invoke) + N(V, F.To); });
+  Row("throw", Base.Throws,
+      [&](const auto &F) { return N(V, F.Var) + N(Me, F.Method); });
+  Row("catch", Base.Catches,
+      [&](const auto &F) { return N(In, F.Invoke) + N(V, F.To); });
+  Row("virtual_invoke", Base.VirtualInvokes, [&](const auto &F) {
+    return N(In, F.Invoke) + N(V, F.Receiver) + N(Base.SigNames, F.Sig);
+  });
+  Row("static_invoke", Base.StaticInvokes, [&](const auto &F) {
+    return N(In, F.Invoke) + N(Me, F.Target) + N(Me, F.InMethod);
+  });
+  Row("assign_new", Base.AssignNews, [&](const auto &F) {
+    return N(Base.HeapNames, F.Heap) + N(V, F.To) + N(Me, F.InMethod);
+  });
+  Row("global_store", Base.GlobalStores, [&](const auto &F) {
+    return N(V, F.From) + N(Base.GlobalNames, F.Global);
+  });
+  Row("global_load", Base.GlobalLoads, [&](const auto &F) {
+    return N(Base.GlobalNames, F.Global) + N(V, F.To) + N(Me, F.InMethod);
+  });
+  ASSERT_EQ(Rows.size(), 15u);
+
+  for (const std::string &R : Rows) {
+    SCOPED_TRACE(R);
+    facts::FactDB Removed = Base;
+    analysis::InputDelta DRm;
+    ASSERT_EQ(applyDeltaOp("rm " + R, Removed, DRm), "");
+    analysis::IncrementalOutcome Cold =
+        analysis::resolveIncremental(Removed, config(), convergedBase(), DRm);
+    ASSERT_FALSE(Cold.Incremental);
+    facts::FactDB Readded = Removed;
+    analysis::InputDelta DAdd;
+    ASSERT_EQ(applyDeltaOp("add " + R, Readded, DAdd), "");
+    analysis::IncrementalOutcome Out =
+        analysis::resolveIncremental(Readded, config(), Cold.R, DAdd);
+    EXPECT_TRUE(Out.Incremental) << Out.FallbackReason;
+    expectColdEquivalent(Readded, Out);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // The crash-safe journal.
 //===----------------------------------------------------------------------===//
@@ -640,6 +718,43 @@ TEST(ServiceTxn, TransactionsRequireACheckpointDirectory) {
   EXPECT_NE(R.Body.find("checkpoint-dir"), std::string::npos) << R.Body;
   // txstat stays answerable — it is a read, not a mutation.
   EXPECT_EQ(S.answer(req("2\ttxstat")).Status, StatusOk);
+}
+
+TEST(ServiceTxn, UnifyCommitSurvivesARestart) {
+  // A unify cell's re-solve runs over unifyView(staged facts), so its
+  // commit — and the restart that replays it — must certify against that
+  // view, not against the staged facts themselves.
+  const std::string Dir = tempDir();
+  auto Options = [&Dir] {
+    ServiceOptions O;
+    O.Preset = "antlr";
+    O.ConfigName = "unify";
+    O.CheckpointDir = Dir;
+    return O;
+  };
+  std::string Args = freshAssignArgs();
+  const std::string Query = "9\tpts\t" + Args.substr(Args.find(' ') + 1);
+  Args[Args.find(' ')] = '\t';
+  std::string Answer;
+  {
+    Service S(Options());
+    ASSERT_EQ(S.init(), "");
+    ASSERT_EQ(S.answer(req("1\tbegin")).Status, StatusOk);
+    ASSERT_EQ(S.answer(req("2\tdelta\tadd\tassign\t" + Args)).Status,
+              StatusOk);
+    Response Commit = S.answer(req("3\tcommit"));
+    ASSERT_EQ(Commit.Status, StatusOk) << Commit.Body;
+    EXPECT_EQ(Commit.Epoch, 1u);
+    Answer = renderResponse(S.answer(req(Query)));
+  }
+  {
+    Service S(Options());
+    ASSERT_EQ(S.init(), "");
+    // The journal replayed, re-certified, and was kept.
+    EXPECT_EQ(S.epoch(), 1u);
+    EXPECT_EQ(renderResponse(S.answer(req(Query))), Answer);
+  }
+  removeTree(Dir);
 }
 
 TEST(ServiceTxn, SabotagedCertificationAbortsTheCommit) {
