@@ -21,6 +21,20 @@
 ///   CiPts.tsv    var  heap
 ///   CiCall.tsv   invocation  method
 ///
+/// Order: each file's lines are sorted field by field in byte order,
+/// which is `LC_ALL=C sort` order whenever no name holds a byte below
+/// the tab. The bytes therefore depend on the relations' values only:
+/// not on derivation order, interning order, resumption or back-end. The
+/// full relations have one line per tuple; CiPts/CiCall have one line
+/// per distinct pair.
+///
+/// Writing: each file is streamed into "File.tmp" in the target
+/// directory and renamed over "File" only once every write and the close
+/// have succeeded; a failed file's temporary is removed. Files are
+/// written one after another and the first failure stops the rest, so a
+/// failed call can leave earlier files complete and later ones absent
+/// or stale, but never a partial "File".
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CTP_ANALYSIS_RESULTSIO_H
@@ -35,7 +49,8 @@ namespace ctp {
 namespace analysis {
 
 /// Writes \p R into directory \p Dir (which must exist), using \p DB's
-/// entity names. \returns an empty string on success.
+/// entity names. \returns an empty string on success, else a message
+/// naming the file that failed and why.
 std::string writeResultsDir(const facts::FactDB &DB, const Results &R,
                             const std::string &Dir);
 

@@ -585,12 +585,14 @@ Response Service::commitTxn(const Request &Q) {
   // die between the two, the snapshot's fingerprint no longer matches
   // the replayed (pre-commit) facts and the probe rejects it — stale
   // snapshots are harmless, uncertified epochs are not. Rung-0 only:
-  // the snapshot format pins the rung-0 cell.
+  // the snapshot format pins the rung-0 cell. Its fingerprint is that of
+  // the facts the re-solve ran over (unifyView of them for a unify
+  // cell), which is what the next life's probe recomputes.
   if (ServingRung == 0) {
     std::string SnapErr;
     if (Out.R.Dom && Out.R.ReachCtxts) {
       analysis::SolverSnapshot S =
-          analysis::snapshotFromResults(Out.R, *Txn->Staged);
+          analysis::snapshotFromResults(Out.R, Cert.facts());
       SnapErr = analysis::writeSnapshot(
           S, analysis::checkpointPath(Opts.CheckpointDir));
     }

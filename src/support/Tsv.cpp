@@ -99,5 +99,6 @@ bool ctp::writeTsvFile(const std::string &Path,
     return false;
   for (const auto &Row : Rows)
     Out << joinTsvLine(Row) << '\n';
-  return true;
+  Out.flush();
+  return Out.good();
 }

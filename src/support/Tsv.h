@@ -61,7 +61,8 @@ bool readTsvLines(const std::string &Path, std::vector<TsvLine> &Rows,
                   std::vector<TsvReject> *Rejects = nullptr);
 
 /// Writes \p Rows to the file at \p Path, one line per row.
-/// \returns false if the file cannot be created.
+/// \returns false if the file cannot be created or a write fails (for
+/// example, the disk is full).
 bool writeTsvFile(const std::string &Path,
                   const std::vector<std::vector<std::string>> &Rows);
 

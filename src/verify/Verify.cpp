@@ -146,6 +146,8 @@ bool Certifier::support(std::string &Counterexample) {
                      S->Joins ? *S->Joins : *S->Sets, Counterexample);
 }
 
+const FactDB &Certifier::facts() const { return S->DB; }
+
 bool verify::verifyFactDB(const FactDB &DB, const std::string &CellPrefix,
                           const VerifyOptions &Opts,
                           verdict::Report &Report) {

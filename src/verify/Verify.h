@@ -108,6 +108,11 @@ public:
   /// checkSupport over the shared build.
   bool support(std::string &Counterexample);
 
+  /// The facts the result is certified against: unifyView(DB) for a
+  /// unify result, \p DB otherwise. A warm-start snapshot of the result
+  /// is fingerprinted against these, as its solve was.
+  const facts::FactDB &facts() const;
+
 private:
   struct Shared;
   std::unique_ptr<Shared> S;

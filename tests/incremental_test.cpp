@@ -723,7 +723,9 @@ TEST(ServiceTxn, TransactionsRequireACheckpointDirectory) {
 TEST(ServiceTxn, UnifyCommitSurvivesARestart) {
   // A unify cell's re-solve runs over unifyView(staged facts), so its
   // commit — and the restart that replays it — must certify against that
-  // view, not against the staged facts themselves.
+  // view, not against the staged facts themselves. The snapshot it
+  // promotes is fingerprinted against that view too, so the restart
+  // resumes from it instead of cold-solving.
   const std::string Dir = tempDir();
   auto Options = [&Dir] {
     ServiceOptions O;
@@ -750,8 +752,10 @@ TEST(ServiceTxn, UnifyCommitSurvivesARestart) {
   {
     Service S(Options());
     ASSERT_EQ(S.init(), "");
-    // The journal replayed, re-certified, and was kept.
+    // The journal replayed, re-certified, and was kept; the snapshot the
+    // commit promoted matched the replayed view, so nothing re-solved.
     EXPECT_EQ(S.epoch(), 1u);
+    EXPECT_TRUE(S.warmStarted());
     EXPECT_EQ(renderResponse(S.answer(req(Query))), Answer);
   }
   removeTree(Dir);

@@ -6,7 +6,8 @@
 // The crash-safety contract: interrupting a fixpoint mid-run and resuming
 // from the checkpoint must produce results byte-identical to an
 // uninterrupted run — same tuples in the same insertion order, same
-// interned ids, same cumulative counters — on both evaluation back-ends.
+// interned ids, same cumulative counters, the same `--out` bytes — on both
+// evaluation back-ends.
 // And every corrupted or mismatched snapshot must be detected and degrade
 // to a cold start with a structured warning, never a crash.
 //
@@ -15,6 +16,7 @@
 #include "analysis/Checkpoint.h"
 #include "analysis/Configurations.h"
 #include "analysis/DatalogFrontend.h"
+#include "analysis/ResultsIO.h"
 #include "analysis/Solver.h"
 #include "facts/Extract.h"
 #include "support/FaultInjection.h"
@@ -24,6 +26,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,6 +66,23 @@ void expectIdentical(const analysis::Results &A, const analysis::Results &B) {
   EXPECT_EQ(A.Stat.Progress.Iterations, B.Stat.Progress.Iterations);
   EXPECT_EQ(A.Stat.Progress.Derivations, B.Stat.Progress.Derivations);
   EXPECT_EQ(A.Stat.Progress.PendingWork, B.Stat.Progress.PendingWork);
+}
+
+/// The bytes of every file `ctp-analyze --out` would write for \p R.
+std::map<std::string, std::string> outBytes(const facts::FactDB &DB,
+                                            const analysis::Results &R,
+                                            const std::string &Tag) {
+  std::string Dir = freshDir("out_" + Tag);
+  EXPECT_EQ(analysis::writeResultsDir(DB, R, Dir), "");
+  std::map<std::string, std::string> Files;
+  for (const auto &E : std::filesystem::directory_iterator(Dir)) {
+    std::ifstream In(E.path(), std::ios::binary);
+    std::ostringstream Bytes;
+    Bytes << In.rdbuf();
+    Files[E.path().filename().string()] = Bytes.str();
+  }
+  std::filesystem::remove_all(Dir);
+  return Files;
 }
 
 analysis::Results solveNative(const facts::FactDB &DB, const ctx::Config &Cfg,
@@ -125,6 +146,10 @@ void checkInterruptResume(const facts::FactDB &DB, const ctx::Config &Cfg,
   ASSERT_EQ(Resumed.Stat.Term, TerminationReason::Converged);
   EXPECT_EQ(Resumed.Stat.CheckpointError, "");
   expectIdentical(Baseline, Resumed);
+  // The --out directory of the resumed run is the cold run's, byte for
+  // byte.
+  EXPECT_EQ(outBytes(DB, Resumed, Tag + "_resumed"),
+            outBytes(DB, Baseline, Tag + "_cold"));
   EXPECT_FALSE(std::filesystem::exists(analysis::checkpointPath(Dir)))
       << "a converged run must remove its checkpoint";
   std::filesystem::remove_all(Dir);
@@ -185,6 +210,8 @@ TEST(ResumeNative, SurvivesTwoInterruptions) {
   }
   ASSERT_EQ(R.Stat.Term, TerminationReason::Converged);
   expectIdentical(Baseline, R);
+  EXPECT_EQ(outBytes(DB, R, "twice_resumed"),
+            outBytes(DB, Baseline, "twice_cold"));
   std::filesystem::remove_all(Dir);
 }
 

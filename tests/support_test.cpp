@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 using namespace ctp;
@@ -131,6 +132,15 @@ TEST(TsvTest, FileRoundTrip) {
   ASSERT_TRUE(readTsvFile(Path, Back));
   EXPECT_EQ(Back, Rows);
   std::remove(Path.c_str());
+}
+
+TEST(TsvTest, FailedWriteIsReported) {
+  // /dev/full opens for writing and fails every write with ENOSPC: the
+  // failure surfaces when the rows are flushed, not when the file opens.
+  if (!std::ifstream("/dev/full").is_open())
+    GTEST_SKIP() << "no /dev/full on this system";
+  std::vector<std::vector<std::string>> Rows = {{"x", "y"}, {"1", "2"}};
+  EXPECT_FALSE(writeTsvFile("/dev/full", Rows));
 }
 
 TEST(TsvTest, MissingFileFails) {
